@@ -64,7 +64,14 @@ from .simulate import (
     mc_trial_totals,
     monte_carlo,
     run_dorfman,
+    summarize_totals,
 )
-from .cli import StrategyReport, emit_model_analysis, run_experiment, strategy_multiplicity
+from .cli import (
+    Experiment,
+    StrategyReport,
+    emit_model_analysis,
+    run_experiment,
+    strategy_multiplicity,
+)
 
 __version__ = "0.1.0"

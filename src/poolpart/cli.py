@@ -29,9 +29,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from .cost import cost_vector, efficiency, expected_tests_group, expected_tests_partition
 from .errors import InfeasibleError, PoolPartError, ValidationError
@@ -44,9 +42,22 @@ from .optimize import (
     dp_solve,
     pooling_from_multiplicity,
 )
-from .simulate import TrialSummary, empirical_evaluate, empirical_trial_totals, mc_trial_totals
+from .simulate import (
+    TrialSummary,
+    empirical_evaluate,
+    empirical_trial_totals,
+    mc_trial_totals,
+    summarize_totals,
+)
 
-__all__ = ["StrategyReport", "strategy_multiplicity", "run_experiment", "emit_model_analysis", "main"]
+__all__ = [
+    "StrategyReport",
+    "Experiment",
+    "strategy_multiplicity",
+    "run_experiment",
+    "emit_model_analysis",
+    "main",
+]
 
 STRATEGIES = ("team8", "dorfman", "iid", "symmetric")
 
@@ -168,6 +179,15 @@ def strategy_multiplicity(
     return mu
 
 
+@dataclass(frozen=True, eq=False)
+class Experiment:
+    """The four strategy reports and the fitted models they came from."""
+
+    reports: List[StrategyReport]
+    m_iid: SymmetricModel
+    m_sym: SymmetricModel
+
+
 def run_experiment(
     batches_path,
     batch_size: int = 80,
@@ -175,7 +195,7 @@ def run_experiment(
     seed: int = 0,
     max_pool: Optional[int] = None,
     laplace: float = 0.0,
-) -> List[StrategyReport]:
+) -> Experiment:
     """Fit both models to a batch file and evaluate all four strategies."""
     with _stage("ingest"):
         batches = read_batches(batches_path)
@@ -211,7 +231,7 @@ def run_experiment(
                 empirical_deterministic=deterministic,
             )
         )
-    return reports
+    return Experiment(reports, m_iid, m_sym)
 
 
 def emit_model_analysis(m_iid: SymmetricModel, m_sym: SymmetricModel, out_dir) -> List[str]:
@@ -386,17 +406,12 @@ def _cmd_simulate(args) -> int:
             )
         pools = pooling_from_multiplicity(mu, range(m.n))
         totals = mc_trial_totals(m, pools, args.trials, args.seed)
-        mean, se = _summary_stats(totals)
-        eff = m.n / totals
-        summary = TrialSummary(args.trials, mean, se, *_summary_stats(eff))
+        summary = summarize_totals(totals, m.n)
     else:
         batches = read_batches(args.batches)
         randomize = args.randomize == "on"
         totals = empirical_trial_totals(batches, mu, randomize, args.trials, args.seed)
-        nb = len(batches)
-        mean, se = _summary_stats(totals / nb)
-        eff, eff_se = _summary_stats(mu.target * nb / totals)
-        summary = TrialSummary(len(totals), mean, se, eff, eff_se)
+        summary = summarize_totals(totals, mu.target, len(batches))
     if args.per_trial_out:
         with open(args.per_trial_out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -406,15 +421,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _summary_stats(values: np.ndarray) -> Tuple[float, float]:
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / math.sqrt(values.size))
-
-
 def _cmd_report(args) -> int:
-    reports = run_experiment(
+    exp = run_experiment(
         args.batches,
         batch_size=args.batch_size,
         trials=args.trials,
@@ -426,14 +434,10 @@ def _cmd_report(args) -> int:
         "batch_size": args.batch_size,
         "trials": args.trials,
         "seed": args.seed,
-        "strategies": [r.to_dict() for r in reports],
+        "strategies": [r.to_dict() for r in exp.reports],
     }
     if args.plots_dir:
-        with _stage("fit"):
-            batches = read_batches(args.batches)
-            m_iid = fit_iid(batches, laplace=args.laplace)
-            m_sym = fit_symmetric(batches, laplace=args.laplace)
-        doc["plots"] = emit_model_analysis(m_iid, m_sym, args.plots_dir)
+        doc["plots"] = emit_model_analysis(exp.m_iid, exp.m_sym, args.plots_dir)
     _write_json(doc, args.out)
     return 0
 

@@ -4,7 +4,8 @@ Input CSV schema (header required, extra columns ignored):
 
     pool_id,run_timestamp,pool_size,statuses
 
-where run_timestamp is ISO-8601 or empty, and statuses is a token string
+where run_timestamp is ISO-8601 or empty (the timestamps of one file either
+all carry a UTC offset or none do), and statuses is a token string
 over {N, P, I} (negative / positive / inconclusive) of length pool_size,
 e.g. ``NNPNNNNN``.
 
@@ -195,6 +196,12 @@ def impute_batches(
             raise ValidationError(
                 f"pool {r.pool_id!r} has no timestamp; filter before imputing"
             )
+    aware = {r.run_timestamp.tzinfo is not None: r for r in records}
+    if len(aware) == 2:
+        raise ValidationError(
+            f"run_timestamp mixes offset-naive (pool {aware[False].pool_id!r}) and "
+            f"offset-aware (pool {aware[True].pool_id!r}) values, which cannot be ordered"
+        )
     ordered = sorted(records, key=lambda r: r.run_timestamp)
 
     statuses: List[int] = []

@@ -28,6 +28,7 @@ state; `substream` derives independent generators for parallel Monte Carlo.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -105,6 +106,8 @@ class SymmetricModel:
             alpha = d["alpha"]
         except (KeyError, TypeError) as e:
             raise ValidationError(f"model document needs keys 'n' and 'alpha': {e}") from e
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValidationError(f"model 'n' must be an integer, got {n!r}")
         return cls(int(n), np.asarray(alpha, dtype=float))
 
 

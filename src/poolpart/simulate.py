@@ -5,23 +5,38 @@ over model draws; `empirical_evaluate` replays a pooling design against
 recorded batch statuses, optionally randomizing the specimen-to-pool
 assignment within each batch.
 
-Every random draw comes from a counter-based substream keyed by
-(seed, batch_index, trial_index), so results are reproducible and do not
-depend on execution order.
+Random draws come from counter-based Philox substreams
+`substream(seed, lane, draw)`, one per lane rather than one per trial:
+
+  replay       lane b (the batch's position in the cohort), draw 0.  Trial
+               t assigns specimens to pool slots by the argsort of row t of
+               a (trials x n) matrix of uniform keys read row-major from
+               that stream.  A batch whose statuses are all equal costs the
+               same under every assignment, so it draws nothing.
+  Monte Carlo  lane 0, draw 0: every trial's positive count k_t, from one
+               choice(n + 1, size=trials, p=alpha) call.  Lane 1, draw 0: a
+               (trials x n) key matrix read row-major; the positives of
+               trial t are the first k_t entries of the argsort of row t.
+
+Keys are drawn in blocks of whole rows, at most _BLOCK_ELEMENTS keys each
+(one row when a row is longer).  The block size bounds memory only: every
+block reads the next rows of the same stream, so results do not depend on
+it.  Results are reproducible for a given seed and do not depend on
+execution order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .cost import GroupFamily
 from .errors import ValidationError
-from .model import OutcomeVector, SymmetricModel, sample_outcome, substream
-from .optimize import MultiplicityFunction
+from .model import OutcomeVector, SymmetricModel, substream
+from .optimize import MultiplicityFunction, pooling_from_multiplicity
 
 __all__ = [
     "TestTally",
@@ -31,7 +46,12 @@ __all__ = [
     "mc_trial_totals",
     "empirical_evaluate",
     "empirical_trial_totals",
+    "summarize_totals",
 ]
+
+# Most uniform keys held at once.  It bounds memory only; the stream layout
+# in the module docstring fixes every value drawn.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -105,28 +125,73 @@ def _mean_se(values: np.ndarray) -> Tuple[float, float]:
     return mean, se
 
 
+def summarize_totals(totals: np.ndarray, specimens: int, batches: int = 1) -> TrialSummary:
+    """Summary of per-trial total tests over `batches` populations of
+    `specimens` each: mean tests per population, and efficiency as
+    specimens per test over each whole trial."""
+    mean_tests, se = _mean_se(totals / batches)
+    mean_eff, eff_se = _mean_se(specimens * batches / totals)
+    return TrialSummary(len(totals), mean_tests, se, mean_eff, eff_se)
+
+
+@dataclass(frozen=True, eq=False)
+class _Design:
+    """A group family compiled for blocks of outcome rows: member columns
+    in group order, reduceat starts, and per-pool retest charges (zero for
+    singletons, which are never retested).  Specimens in no group are
+    never read."""
+
+    cols: np.ndarray
+    starts: np.ndarray
+    retest: np.ndarray
+
+    @classmethod
+    def of(cls, f: GroupFamily) -> "_Design":
+        sizes = np.array(f.sizes)
+        cols = np.fromiter((i for g in f.groups for i in g), dtype=np.intp, count=f.covered)
+        return cls(cols, np.cumsum(sizes) - sizes, sizes * (sizes >= 2))
+
+    def tests(self, rows: np.ndarray) -> np.ndarray:
+        """Total tests for each row of a (rows x n) 0/1 status matrix."""
+        positive = np.maximum.reduceat(rows[:, self.cols], self.starts, axis=1)
+        return len(self.starts) + positive @ self.retest
+
+
+def _orderings(
+    rng: np.random.Generator, trials: int, n: int
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Argsorts of the rows of a (trials x n) uniform key matrix read
+    row-major from rng, in blocks of whole rows, with each block's trial
+    slice."""
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for t0 in range(0, trials, rows):
+        block = slice(t0, min(t0 + rows, trials))
+        yield block, rng.random((block.stop - t0, n)).argsort(axis=1)
+
+
 def mc_trial_totals(
     m: SymmetricModel, f: GroupFamily, trials: int, seed: int
 ) -> np.ndarray:
-    """Total tests per trial for outcomes sampled from the model; trial t
-    draws on substream (seed, 0, t)."""
+    """Total tests per trial for outcomes sampled from the model.
+
+    Counts come from substream (seed, 0, 0) in one draw for all trials;
+    trial t's positives are the first k_t specimens of the argsort of row t
+    of the key matrix on substream (seed, 1, 0).  See the module docstring.
+    """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    garrs = [np.asarray(g, dtype=int) for g in f.groups]
-    top = max(int(ga.max()) for ga in garrs)
+    design = _Design.of(f)
+    top = int(design.cols.max())
     if top >= m.n:
         raise IndexError(f"group member {top} outside population of size {m.n}")
+    n = m.n
+    counts = substream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
+    rank = np.arange(n)
     totals = np.empty(trials)
-    for t in range(trials):
-        x = sample_outcome(m, substream(seed, 0, t)).statuses
-        tot = 0
-        for ga in garrs:
-            h = ga.size
-            if h >= 2 and x[ga].any():
-                tot += 1 + int(h)
-            else:
-                tot += 1
-        totals[t] = tot
+    for block, order in _orderings(substream(seed, 1, 0), trials, n):
+        x = np.empty(order.shape, dtype=np.uint8)
+        np.put_along_axis(x, order, rank < counts[block, None], axis=1)
+        totals[block] = design.tests(x)
     return totals
 
 
@@ -139,10 +204,7 @@ def monte_carlo(
     averages the per-trial ratio covered_specimens / tests, which is not
     the same as covered / mean_tests.
     """
-    totals = mc_trial_totals(m, f, trials, seed)
-    mean_tests, se = _mean_se(totals)
-    mean_eff, eff_se = _mean_se(f.covered / totals)
-    return TrialSummary(trials, mean_tests, se, mean_eff, eff_se)
+    return summarize_totals(mc_trial_totals(m, f, trials, seed), f.covered)
 
 
 def _batch_matrix(batches: Sequence, target: int) -> np.ndarray:
@@ -160,18 +222,38 @@ def _batch_matrix(batches: Sequence, target: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def _slice_design(mu: MultiplicityFunction):
-    """Pool-boundary arrays for the consecutive-slice design (largest
-    pools first): reduceat starts and per-pool retest charges."""
-    sizes = np.array(mu.part_sizes())
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    retest = sizes * (sizes >= 2)
-
-    def total_tests(row: np.ndarray) -> int:
-        pool_positive = np.maximum.reduceat(row, starts)
-        return int(len(sizes) + retest[pool_positive == 1].sum())
-
-    return total_tests
+def _replay_sums(
+    batches: Sequence,
+    mu: MultiplicityFunction,
+    randomize: bool,
+    trials: int,
+    seed: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-trial sums over the cohort of each batch's tests and of its
+    efficiency n / tests; a single trial in stored order without
+    randomize.  Sums run in batch order, so they do not depend on the
+    block size."""
+    n = mu.target
+    data = _batch_matrix(batches, n)
+    design = _Design.of(pooling_from_multiplicity(mu, range(n)))
+    if not randomize:
+        tests = design.tests(data)
+        return np.array([tests.sum()]), np.array([np.sum(n / tests)])
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    tests_sum = np.zeros(trials, dtype=np.int64)
+    eff_sum = np.zeros(trials)
+    for b, row in enumerate(data):
+        if row.min() == row.max():  # every assignment costs the same
+            tests = design.tests(row[None])
+            tests_sum += tests
+            eff_sum += n / tests
+            continue
+        for block, order in _orderings(substream(seed, b, 0), trials, n):
+            tests = design.tests(row[order])
+            tests_sum[block] += tests
+            eff_sum[block] += n / tests
+    return tests_sum, eff_sum
 
 
 def empirical_trial_totals(
@@ -184,26 +266,12 @@ def empirical_trial_totals(
     """Whole-cohort total tests per trial.
 
     The design assigns consecutive slices (largest pools first) within each
-    batch.  With randomize on, trial t permutes batch b's specimens with
-    substream (seed, b, t) before slicing; with randomize off there is a
-    single deterministic pass in stored order (length-1 result).
+    batch.  With randomize on, trial t fills batch b's slots in the order
+    of the argsort of row t of the key matrix on substream (seed, b, 0)
+    (see the module docstring); with randomize off there is a single
+    deterministic pass in stored order (length-1 result).
     """
-    n = mu.target
-    data = _batch_matrix(batches, n)
-    nb = data.shape[0]
-    total_tests = _slice_design(mu)
-    if not randomize:
-        return np.array([float(sum(total_tests(data[b]) for b in range(nb)))])
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    totals = np.empty(trials)
-    for t in range(trials):
-        tot = 0
-        for b in range(nb):
-            perm = substream(seed, b, t).permutation(n)
-            tot += total_tests(data[b][perm])
-        totals[t] = tot
-    return totals
+    return _replay_sums(batches, mu, randomize, trials, seed)[0].astype(float)
 
 
 def empirical_evaluate(
@@ -221,31 +289,10 @@ def empirical_evaluate(
     batch aggregated across the whole cohort per trial, or with per_batch
     the average of each batch's own ratio.
     """
-    n = mu.target
+    tests, eff = _replay_sums(batches, mu, randomize, trials, seed)
+    nb = len(batches)
     if not per_batch:
-        totals = empirical_trial_totals(batches, mu, randomize, trials, seed)
-        nb = len(batches)
-        mean_tests, se = _mean_se(totals / nb)
-        mean_eff, eff_se = _mean_se(n * nb / totals)
-        return TrialSummary(len(totals), mean_tests, se, mean_eff, eff_se)
-
-    data = _batch_matrix(batches, n)
-    nb = data.shape[0]
-    total_tests = _slice_design(mu)
-    if not randomize:
-        per = np.array([total_tests(data[b]) for b in range(nb)], dtype=float)
-        return TrialSummary(1, float(per.mean()), 0.0, float((n / per).mean()), 0.0)
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    mean_by_trial = np.empty(trials)
-    eff_by_trial = np.empty(trials)
-    for t in range(trials):
-        per = np.empty(nb)
-        for b in range(nb):
-            perm = substream(seed, b, t).permutation(n)
-            per[b] = total_tests(data[b][perm])
-        mean_by_trial[t] = per.mean()
-        eff_by_trial[t] = (n / per).mean()
-    mean_tests, se = _mean_se(mean_by_trial)
-    mean_eff, eff_se = _mean_se(eff_by_trial)
-    return TrialSummary(trials, mean_tests, se, mean_eff, eff_se)
+        return summarize_totals(tests, mu.target, nb)
+    mean_tests, se = _mean_se(tests / nb)
+    mean_eff, eff_se = _mean_se(eff / nb)
+    return TrialSummary(len(tests), mean_tests, se, mean_eff, eff_se)

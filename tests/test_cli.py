@@ -279,3 +279,78 @@ class TestEmitModelAnalysis:
         q_iid, q_sym = q_from_alpha(m_iid).q, q_from_alpha(m_sym).q
         for h in (8, 10, 12):
             assert q_iid[h] < q_sym[h]
+
+
+MIXED_TIMESTAMPS = (
+    "pool_id,run_timestamp,pool_size,statuses\n"
+    "a,2024-01-01T00:00:00,8,NNNNNNNN\n"
+    "b,2024-01-01T00:00:01Z,8,NNNPNNNN\n"
+)
+
+
+class TestMalformedInputs:
+    """Each malformed input exits 2 with a one-line message, no traceback."""
+
+    INGEST = ["ingest", "--input", "{path}", "--out", "{dir}/b.csv", "--batch-size", "8"]
+    OPTIMIZE = ["optimize", "--model", "{path}"]
+
+    @pytest.mark.parametrize(
+        "argv, content, needle",
+        [
+            (INGEST, MIXED_TIMESTAMPS, "offset-naive"),
+            (OPTIMIZE, json.dumps({"n": 2.7, "alpha": [0.5, 0.5, 0.0]}), "integer"),
+            (OPTIMIZE, json.dumps({"n": True, "alpha": [0.5, 0.5]}), "integer"),
+        ],
+        ids=["mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n"],
+    )
+    def test_exit_2_with_one_line(self, capsys, tmp_path, argv, content, needle):
+        path = tmp_path / "input"
+        path.write_text(content)
+        code = main([a.format(path=path, dir=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+
+class TestSimulateMatchesLibrary:
+    def test_json_and_per_trial_csv_match_library(self, capsys, batches_file, tmp_path):
+        from poolpart import (
+            MultiplicityFunction,
+            empirical_evaluate,
+            empirical_trial_totals,
+            mc_trial_totals,
+            monte_carlo,
+            pooling_from_multiplicity,
+        )
+
+        m = iid_model(80, 0.03)
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(m.to_dict()))
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps({"8": 10}))
+        mu = MultiplicityFunction(80, {8: 10})
+        pools = pooling_from_multiplicity(mu, range(80))
+        batches = read_batches(batches_file)
+        cases = [
+            (
+                ["--model", str(model_path)],
+                monte_carlo(m, pools, 70, 8),
+                mc_trial_totals(m, pools, 70, 8),
+            ),
+            (
+                ["--batches", str(batches_file)],
+                empirical_evaluate(batches, mu, True, 70, 8),
+                empirical_trial_totals(batches, mu, True, 70, 8),
+            ),
+        ]
+        for source, summary, totals in cases:
+            trace = tmp_path / "trials.csv"
+            code, out = run(
+                capsys, "simulate", *source, "--multiplicity", str(mu_path), "--trials", "70",
+                "--seed", "8", "--per-trial-out", str(trace),
+            )
+            assert code == 0
+            assert out == json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
+            rows = "".join(f"{t},{int(v)}\r\n" for t, v in enumerate(totals))
+            assert trace.read_bytes().decode() == "trial,total_tests\r\n" + rows

@@ -236,3 +236,98 @@ class TestTrialSummaryType:
         s = TrialSummary(5, 2.0, 0.1, 4.0, 0.2)
         d = s.to_dict()
         assert d["trials"] == 5 and d["mean_efficiency"] == 4.0
+
+
+class TestBlockKernel:
+    """The block-drawing kernel against the stream layout documented in
+    poolpart.simulate, rebuilt here one trial at a time."""
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        import poolpart.simulate as sim
+
+        m = iid_model(40, 0.08)
+        f = blocks(40, 5)
+        batches = sampled_batches(m, 12, 61)
+        mu = MultiplicityFunction(40, {5: 8})
+
+        def run_all():
+            return (
+                mc_trial_totals(m, f, 300, 62),
+                empirical_trial_totals(batches, mu, True, 300, 63),
+                empirical_evaluate(batches, mu, True, 300, 63, per_batch=True),
+            )
+
+        default = run_all()
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1)  # one row per block
+        one_row = run_all()
+        assert default[0].tobytes() == one_row[0].tobytes()
+        assert default[1].tobytes() == one_row[1].tobytes()
+        assert default[2] == one_row[2]
+
+    def test_constant_batches_draw_nothing(self, monkeypatch):
+        import poolpart.simulate as sim
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return substream(*args)
+
+        monkeypatch.setattr(sim, "substream", counted)
+        batches = [np.zeros(20, dtype=np.uint8)] * 3 + [np.ones(20, dtype=np.uint8)] * 2
+        mu = MultiplicityFunction(20, {4: 5})
+        totals = empirical_trial_totals(batches, mu, True, 40, 5)
+        per = empirical_evaluate(batches, mu, True, 40, 5, per_batch=True)
+        assert calls == []
+        assert np.all(totals == 3 * 5 + 2 * 25)
+        assert math.isclose(per.mean_efficiency, (3 * 20 / 5 + 2 * 20 / 25) / 5, rel_tol=1e-15)
+        assert per.std_error == per.efficiency_std_error == 0.0
+
+    def test_mc_matches_documented_layout_on_uncovering_family(self):
+        # interleaved groups, a singleton, and specimens 1 and 7 in no group
+        f = GroupFamily(((8, 0, 5), (3,), (2, 9, 4, 6)))
+        m = SymmetricModel(10, random_alpha(np.random.default_rng(64), 10))
+        trials, seed = 150, 65
+        counts = substream(seed, 0, 0).choice(11, size=trials, p=m.alpha)
+        keys = substream(seed, 1, 0).random((trials, 10))
+        want = []
+        for t in range(trials):
+            x = np.zeros(10, dtype=np.uint8)
+            x[np.argsort(keys[t])[: counts[t]]] = 1
+            want.append(run_dorfman(f, OutcomeVector(x)).total_tests)
+        assert mc_trial_totals(m, f, trials, seed).tolist() == want
+
+    def test_replay_matches_documented_layout(self):
+        batches = sampled_batches(iid_model(24, 0.15), 6, 66)
+        batches[2] = np.zeros(24, dtype=np.uint8)  # constant: draws nothing
+        mu = MultiplicityFunction(24, {6: 2, 4: 2, 1: 4})
+        pools = pooling_from_multiplicity(mu, range(24))
+        trials, seed = 30, 67
+        want = np.zeros(trials)
+        for b, row in enumerate(batches):
+            keys = substream(seed, b, 0).random((trials, 24))
+            for t in range(trials):
+                want[t] += run_dorfman(pools, OutcomeVector(row[np.argsort(keys[t])])).total_tests
+        assert empirical_trial_totals(batches, mu, True, trials, seed).tolist() == want.tolist()
+
+    def test_replay_mean_matches_symmetric_fit_cost(self):
+        # with laplace = 0 the symmetric fit is the cohort's count histogram,
+        # and a uniformly random assignment draws each pool's members
+        # without replacement, so the replay mean equals the fit's analytic
+        # cost exactly in expectation
+        from poolpart import fit_symmetric
+
+        rng = np.random.default_rng(68)
+        batches = []
+        for _ in range(150):
+            row = np.zeros(40, dtype=np.uint8)
+            row[: rng.choice([0, 0, 0, 1, 3, 7])] = 1  # clustered, stored first
+            batches.append(row)
+        m_sym = fit_symmetric(batches, laplace=0.0)
+        for counts in ({8: 5}, {10: 3, 5: 2}, {3: 13, 1: 1}):
+            mu = MultiplicityFunction(40, counts)
+            pools = pooling_from_multiplicity(mu, range(40))
+            analytic = expected_tests_partition(cost_vector(q_from_alpha(m_sym)), pools)
+            s = empirical_evaluate(batches, mu, True, 2000, 69)
+            assert s.std_error > 0.0
+            assert abs(s.mean_tests - analytic) < 4 * s.std_error
