@@ -293,19 +293,19 @@ def _write_json(doc: dict, path: Optional[str]) -> None:
 
 
 def _load_model(path) -> SymmetricModel:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ValidationError(f"{path}: invalid JSON: {e}") from e
     return SymmetricModel.from_dict(doc)
 
 
 def _load_multiplicity(path) -> MultiplicityFunction:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ValidationError(f"{path}: invalid JSON: {e}") from e
     if isinstance(doc, dict) and "multiplicity" in doc:
         doc = doc["multiplicity"]

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import QCurve
+from .model import QCurve, check_n
 
 __all__ = [
     "CostVector",
@@ -42,8 +42,7 @@ class CostVector:
     c: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"population size must be an integer >= 1, got {self.n!r}")
+        check_n(self.n)
         v = np.asarray(self.c, dtype=float).copy()
         if v.ndim != 1 or v.shape[0] < 2 or v.shape[0] > self.n + 1:
             raise ValidationError(

@@ -16,11 +16,13 @@ concatenated, and consecutive slices of batch_size become batches; a
 trailing remainder shorter than one batch is discarded and reported.
 
 Batches round-trip through a second CSV, ``batch_index,statuses``, with
-tokens restricted to {N, P}.
+tokens restricted to {N, P}.  Both files are read as UTF-8; a leading byte
+order mark is skipped.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 from datetime import datetime
@@ -107,9 +109,20 @@ def _parse_timestamp(text: str, line: int) -> Optional[datetime]:
         raise ValidationError(f"line {line}: bad timestamp {text!r}: {e}") from e
 
 
+@contextlib.contextmanager
+def _open_csv(path):
+    """Open a UTF-8 CSV for reading, skipping a byte order mark; bytes that
+    are not UTF-8 raise ValidationError."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"{path}: not UTF-8 text: {e}") from e
+
+
 def parse_pools(path) -> List[PoolRecord]:
     """Read pool records, failing loudly with line numbers on bad rows."""
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in _POOL_COLUMNS if c not in header]
@@ -143,7 +156,7 @@ def parse_pools(path) -> List[PoolRecord]:
 
 
 def write_pools(path, records: Sequence[PoolRecord]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_POOL_COLUMNS)
         for r in records:
@@ -221,7 +234,7 @@ def impute_batches(
 
 
 def write_batches(path, batches: Sequence[Batch]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_BATCH_COLUMNS)
         for b in batches:
@@ -230,7 +243,7 @@ def write_batches(path, batches: Sequence[Batch]) -> None:
 
 
 def read_batches(path) -> List[Batch]:
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in _BATCH_COLUMNS if c not in header]

@@ -17,8 +17,12 @@ Conversions carry exact rational values alongside the float64 vectors
 whenever n <= _EXACT_LIMIT.  The q -> w recursion subtracts near-equal
 quantities and amplifies rounding in q by roughly 2**n, so float arithmetic
 alone cannot round-trip alpha -> q -> w -> alpha at large n; the rational
-channel makes the round trip exact.  Conversions fall back to compensated
-float summation when the channel is absent.
+channel makes the round trip exact.  Without the channel, alpha -> q is an
+O(n**2) float recurrence on binomial ratios in [0, 1] (relative error below
+(2h + 2) * 2**-53 at group size h), the remaining conversions use
+compensated summation, and every product or quotient with a binomial
+coefficient is rounded once from the exact integers, so C(n, k) beyond the
+float range (n >= 1030) does not overflow.
 
 All values are immutable after construction and safe to share across
 threads.  Sampling takes an explicit seed or generator and keeps no hidden
@@ -63,17 +67,36 @@ _NEG_W_TOL = -1e-9
 ExactVec = Optional[tuple]  # tuple[Fraction, ...] when present
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=float).copy()
+def check_n(n) -> None:
+    """Population sizes are integers >= 1."""
+    if not isinstance(n, int) or n < 1:
+        raise ValidationError(f"population size must be an integer >= 1, got {n!r}")
+
+
+def _checked_vector(n, v, name: str) -> np.ndarray:
+    """Check n, then return v as a read-only float copy of length n + 1 with
+    finite entries."""
+    check_n(n)
+    out = np.asarray(v, dtype=float).copy()
+    if out.ndim != 1 or out.shape[0] != n + 1:
+        raise ValidationError(f"{name} must have length n+1 = {n + 1}, got shape {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"{name} contains non-finite entries")
     out.setflags(write=False)
     return out
 
 
-def _check_vector(v: np.ndarray, n: int, name: str) -> None:
-    if v.ndim != 1 or v.shape[0] != n + 1:
-        raise ValidationError(f"{name} must have length n+1 = {n + 1}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name} contains non-finite entries")
+def _scaled(x: float, num: int, den: int = 1) -> float:
+    """x * num / den rounded once from the exact rational, for integers
+    (binomial coefficients) that may lie beyond the float range."""
+    x = float(x)
+    if x == 0.0:
+        return 0.0
+    p, d = x.as_integer_ratio()
+    try:
+        return (p * num) / (d * den)
+    except OverflowError as e:
+        raise ValidationError(f"{x!r} times a binomial coefficient exceeds the float range") from e
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +108,7 @@ class SymmetricModel:
     _exact: ExactVec = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"population size must be an integer >= 1, got {self.n!r}")
-        a = _readonly(self.alpha)
-        _check_vector(a, self.n, "alpha")
+        a = _checked_vector(self.n, self.alpha, "alpha")
         if np.any(a < 0.0) or np.any(a > 1.0):
             raise ValidationError("alpha entries must lie in [0, 1]")
         total = math.fsum(a.tolist())
@@ -120,10 +140,7 @@ class QCurve:
     _exact: ExactVec = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"population size must be an integer >= 1, got {self.n!r}")
-        v = _readonly(self.q)
-        _check_vector(v, self.n, "q")
+        v = _checked_vector(self.n, self.q, "q")
         if v[0] != 1.0:
             raise ValidationError(f"q[0] must equal 1 exactly, got {v[0]!r}")
         if np.any(v < 0.0) or np.any(v > 1.0):
@@ -143,13 +160,10 @@ class OutcomeWeights:
     _exact: ExactVec = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"population size must be an integer >= 1, got {self.n!r}")
-        v = _readonly(self.w)
-        _check_vector(v, self.n, "w")
+        v = _checked_vector(self.n, self.w, "w")
         if np.any(v < 0.0):
             raise ValidationError("w entries must be nonnegative")
-        total = math.fsum(math.comb(self.n, k) * v[k] for k in range(self.n + 1))
+        total = _outcome_mass(self.n, v)
         if abs(total - 1.0) > _NORM_TOL:
             raise ValidationError(
                 f"sum of C(n,k)*w[k] must be 1 within {_NORM_TOL}, got {total!r}"
@@ -182,6 +196,11 @@ class OutcomeVector:
         return int(self.statuses.sum())
 
 
+def _outcome_mass(n: int, w: np.ndarray) -> float:
+    """sum_k C(n,k) w[k], each term rounded once."""
+    return math.fsum(_scaled(w[k], math.comb(n, k)) for k in range(n + 1))
+
+
 def _exact_alpha(m: SymmetricModel) -> ExactVec:
     if m._exact is not None:
         return m._exact
@@ -194,8 +213,7 @@ def iid_model(n: int, prevalence: float) -> SymmetricModel:
     """Binomial-count model: each specimen independently positive with the
     given prevalence.  alpha[k] = C(n,k) p^k (1-p)^(n-k), so q[h] = (1-p)^h.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"population size must be an integer >= 1, got {n!r}")
+    check_n(n)
     p = float(prevalence)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"prevalence must lie in [0, 1], got {p!r}")
@@ -226,9 +244,15 @@ def q_from_alpha(m: SymmetricModel) -> QCurve:
 
     Drawing h specimens without replacement from a population with exactly k
     positives leaves all h negative with probability C(n-h,k)/C(n,k), so
-    q[h] = sum_k alpha[k] C(n-h,k)/C(n,k).  The binomial ratios are computed
-    as exact integer quotients; CPython rounds big-int division correctly,
-    so this stays accurate at any n.
+    q[h] = sum_k alpha[k] C(n-h,k)/C(n,k).  With the rational channel the
+    sum is exact.  Otherwise it uses C(n-h,k)/C(n,k) = C(n-k,h)/C(n,h) =
+    r_h[k], kept as one float vector that each step multiplies by
+    (n-k-h+1)/(n-h+1): O(n**2) work, O(n) memory and no big integers.  Every
+    factor lies in [0, 1] and each step rounds twice, so r_h[k] has relative
+    error below 2h * 2**-53; `math.fsum` adds the nonnegative terms with one
+    rounding, so q[h] has relative error below (2h + 2) * 2**-53.  No step
+    grows a term, so the float q is nonincreasing, and q[n] = alpha[0]
+    exactly.
     """
     n = m.n
     exact = _exact_alpha(m)
@@ -244,13 +268,14 @@ def q_from_alpha(m: SymmetricModel) -> QCurve:
         q = np.array([float(x) for x in qx])
         q[0] = 1.0
         return QCurve(n, q, _exact=tuple(qx))
-    cn = [math.comb(n, k) for k in range(n + 1)]
     q = np.empty(n + 1)
     q[0] = 1.0
+    r = np.ones(n + 1)
+    n_minus_k = np.arange(n, -1, -1, dtype=float)
     for h in range(1, n + 1):
-        q[h] = math.fsum(
-            float(m.alpha[k]) * (math.comb(n - h, k) / cn[k]) for k in range(n - h + 1)
-        )
+        live = n - h + 1  # r_h[k] = 0 for k > n - h
+        r[:live] *= (n_minus_k[:live] - (h - 1)) / live
+        q[h] = math.fsum((m.alpha[:live] * r[:live]).tolist())
     return QCurve(n, np.minimum(q, 1.0))
 
 
@@ -267,7 +292,8 @@ def w_from_q(qc: QCurve) -> OutcomeWeights:
 
     Rounding in a float q is amplified by roughly 2**n here.  Curves
     produced by q_from_alpha carry exact rationals and invert exactly;
-    float-only curves are trustworthy only at small n.
+    float-only curves are trustworthy only at small n.  A float recursion
+    that leaves the float range raises ValidationError.
     """
     n = qc.n
     if qc._exact is not None:
@@ -283,10 +309,15 @@ def w_from_q(qc: QCurve) -> OutcomeWeights:
         exact: ExactVec = tuple(wx)
     else:
         wl = []
-        for k in range(n + 1):
-            terms = [float(qc.q[n - k])]
-            terms.extend(-math.comb(k, i) * wl[i] for i in range(k))
-            wl.append(math.fsum(terms))
+        try:
+            for k in range(n + 1):
+                terms = [float(qc.q[n - k])]
+                terms.extend(-_scaled(wl[i], math.comb(k, i)) for i in range(k) if wl[i])
+                wl.append(math.fsum(terms))
+        except (OverflowError, ValidationError) as e:
+            raise ValidationError(
+                f"float q -> w recursion leaves the float range at w[{len(wl)}] (n = {n})"
+            ) from e
         w = np.array(wl)
         exact = None
 
@@ -302,7 +333,7 @@ def w_from_q(qc: QCurve) -> OutcomeWeights:
         w = np.where(clamped, 0.0, w)
         exact = None  # rational channel no longer matches the floats
 
-    total = math.fsum(math.comb(n, k) * w[k] for k in range(n + 1))
+    total = _outcome_mass(n, w)
     drift = abs(total - 1.0)
     if drift > 1e-9:
         raise ValidationError(
@@ -320,19 +351,27 @@ def alpha_from_w(ow: OutcomeWeights) -> SymmetricModel:
     if ow._exact is not None:
         ax = tuple(math.comb(n, k) * ow._exact[k] for k in range(n + 1))
         return SymmetricModel(n, np.array([float(x) for x in ax]), _exact=ax)
-    alpha = np.array([math.comb(n, k) * float(ow.w[k]) for k in range(n + 1)])
+    alpha = np.array([_scaled(ow.w[k], math.comb(n, k)) for k in range(n + 1)])
     return SymmetricModel(n, alpha)
 
 
 def w_from_alpha(m: SymmetricModel) -> OutcomeWeights:
-    """w[k] = alpha[k] / C(n,k)."""
+    """w[k] = alpha[k] / C(n,k).
+
+    Without the rational channel each w[k] is rounded once; an alpha whose
+    mass sits where w[k] underflows (e.g. near k = n/2 at n >= 1030) has no
+    float per-outcome form and raises ValidationError.
+    """
     n = m.n
     exact = _exact_alpha(m)
     if exact is not None:
         wx = tuple(exact[k] / math.comb(n, k) for k in range(n + 1))
         return OutcomeWeights(n, np.array([float(x) for x in wx]), _exact=wx)
-    w = np.array([float(m.alpha[k]) / math.comb(n, k) for k in range(n + 1)])
-    return OutcomeWeights(n, w)
+    w = np.array([_scaled(m.alpha[k], 1, math.comb(n, k)) for k in range(n + 1)])
+    try:
+        return OutcomeWeights(n, w)
+    except ValidationError as e:
+        raise ValidationError(f"w underflows float64 at n = {n}: {e}") from e
 
 
 def marginal_zero_bruteforce(m: SymmetricModel, h: int) -> float:

@@ -7,7 +7,8 @@ sum_i i mu(i) = n.  The value function
 
     M*(0) = 0,   M*(k) = min_i { M*(k - i) + c(i) }
 
-solves this in O(n^2); `brute_force_solve` enumerates every partition as an
+solves this in O(n^2), with one vectorized pass over the candidate parts
+at each k; `brute_force_solve` enumerates every partition as an
 independent check, and `pooling_from_multiplicity` turns the abstract part
 sizes back into concrete groups.
 """
@@ -109,7 +110,9 @@ def dp_solve(cv: CostVector, target: int) -> Tuple[MultiplicityFunction, ValueTa
 
     Ties in the argmin (at relative tolerance 1e-12) break toward the
     largest part, so the result is deterministic and biased toward fewer
-    groups.
+    groups.  The minimum and the tie-break come from one array of
+    candidate sums M*(k - i) + c(i), the same float additions a scalar
+    loop would make, so the table does not depend on the vectorization.
     """
     if not isinstance(target, int) or target < 1:
         raise ValidationError(f"target must be an integer >= 1, got {target!r}")
@@ -118,16 +121,12 @@ def dp_solve(cv: CostVector, target: int) -> Tuple[MultiplicityFunction, ValueTa
     choices = np.zeros(target + 1, dtype=int)
     for k in range(1, target + 1):
         limit = min(k, cv.max_size)
-        if limit < 1:
-            raise InfeasibleError(f"no part size available at k = {k}")
-        best_v = math.inf
-        for i in range(1, limit + 1):
-            v = values[k - i] + c[i]
-            if v < best_v:
-                best_v = v
+        # cand[i - 1] = M*(k - i) + c(i) for part sizes i = 1..limit
+        cand = values[k - 1 :: -1][:limit] + c[1 : limit + 1]
+        best_v = cand.min()
         tol = _TIE_RTOL * abs(best_v)
-        best_i = max(i for i in range(1, limit + 1) if values[k - i] + c[i] <= best_v + tol)
-        values[k] = values[k - best_i] + c[best_i]
+        best_i = limit - int(np.argmax(cand[::-1] <= best_v + tol))
+        values[k] = cand[best_i - 1]
         choices[k] = best_i
     counts: Dict[int, int] = {}
     k = target

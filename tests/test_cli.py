@@ -147,6 +147,12 @@ class TestOptimizeCommand:
         doc = json.loads(out)
         assert max(int(i) for i in doc["multiplicity"]) <= 6
 
+    def test_float_path_population(self, capsys):
+        code, out = run(capsys, "optimize", "--n", "1000", "--prevalence", "0.01")
+        assert code == 0
+        doc = json.loads(out)
+        assert sum(int(i) * m for i, m in doc["multiplicity"].items()) == 1000
+
     def test_model_and_prevalence_conflict(self, capsys, tmp_path):
         model_path = tmp_path / "m.json"
         model_path.write_text(json.dumps(iid_model(4, 0.2).to_dict()))
@@ -288,11 +294,45 @@ MIXED_TIMESTAMPS = (
 )
 
 
+NON_UTF8_POOLS = (
+    b"pool_id,run_timestamp,pool_size,statuses\n"
+    b"caf\xe9,2024-01-01T00:00:00,8,NNNNNNNN\n"
+)
+
+
+class TestUtf8ByteOrderMark:
+    """A leading BOM is skipped: the file reads as it does without one."""
+
+    def test_pool_csv(self, capsys, pools_file, tmp_path):
+        bom = tmp_path / "pools-bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + pools_file.read_bytes())
+        outputs = []
+        for src in (pools_file, bom):
+            out_csv = tmp_path / f"{src.stem}-batches.csv"
+            code, out = run(
+                capsys, "ingest", "--input", str(src), "--out", str(out_csv),
+                "--batch-size", "16",
+            )
+            assert code == 0
+            doc = json.loads(out)
+            del doc["out"]
+            outputs.append((doc, out_csv.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_batch_csv(self, batches_file, tmp_path):
+        bom = tmp_path / "batches-bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + batches_file.read_bytes())
+        plain, with_bom = read_batches(batches_file), read_batches(bom)
+        assert [b.index for b in with_bom] == [b.index for b in plain]
+        assert all(np.array_equal(x.statuses, y.statuses) for x, y in zip(plain, with_bom))
+
+
 class TestMalformedInputs:
     """Each malformed input exits 2 with a one-line message, no traceback."""
 
     INGEST = ["ingest", "--input", "{path}", "--out", "{dir}/b.csv", "--batch-size", "8"]
     OPTIMIZE = ["optimize", "--model", "{path}"]
+    FIT = ["fit", "--input", "{path}"]
 
     @pytest.mark.parametrize(
         "argv, content, needle",
@@ -300,12 +340,18 @@ class TestMalformedInputs:
             (INGEST, MIXED_TIMESTAMPS, "offset-naive"),
             (OPTIMIZE, json.dumps({"n": 2.7, "alpha": [0.5, 0.5, 0.0]}), "integer"),
             (OPTIMIZE, json.dumps({"n": True, "alpha": [0.5, 0.5]}), "integer"),
+            (INGEST, NON_UTF8_POOLS, "not UTF-8"),
+            (FIT, b"batch_index,statuses\n0,NNPN\xe9\n", "not UTF-8"),
+            (OPTIMIZE, b'{"n": 1, "alpha": [1.0, 0.0], "note": "\xff"}', "invalid JSON"),
         ],
-        ids=["mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n"],
+        ids=[
+            "mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n",
+            "non-utf8-pool-csv", "non-utf8-batch-csv", "non-utf8-model-json",
+        ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv, content, needle):
         path = tmp_path / "input"
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
         code = main([a.format(path=path, dir=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert code == 2

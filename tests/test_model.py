@@ -299,3 +299,107 @@ class TestValidationAndTypes:
     def test_from_dict_rejects_bad_documents(self):
         with pytest.raises(ValidationError):
             SymmetricModel.from_dict({"alpha": [1.0]})
+
+
+def beta_binomial_alpha(n, a, b):
+    """alpha[k] = C(n,k) B(k+a, n-k+b) / B(a, b), built in log space."""
+    lg = math.lgamma
+    log_beta_ab = lg(a) + lg(b) - lg(a + b)
+    la = np.array(
+        [
+            lg(n + 1) - lg(k + 1) - lg(n - k + 1)
+            + lg(k + a) + lg(n - k + b) - lg(n + a + b) - log_beta_ab
+            for k in range(n + 1)
+        ]
+    )
+    alpha = np.exp(la)
+    return alpha / math.fsum(alpha.tolist())
+
+
+def reference_float_q(m):
+    """q[h] = fsum_k alpha[k] * (C(n-h,k) / C(n,k)), each ratio a correctly
+    rounded big-integer quotient: the float path before the ratio
+    recurrence, kept as an oracle."""
+    n = m.n
+    cn = [math.comb(n, k) for k in range(n + 1)]
+    q = np.empty(n + 1)
+    q[0] = 1.0
+    for h in range(1, n + 1):
+        q[h] = math.fsum(
+            float(m.alpha[k]) * (math.comb(n - h, k) / cn[k]) for k in range(n - h + 1)
+        )
+    return np.minimum(q, 1.0)
+
+
+class TestFloatQFromAlpha:
+    """n > 100: the O(n^2) ratio recurrence against the comb-quotient sum."""
+
+    @pytest.mark.parametrize("n", [101, 150, 200, 500])
+    @pytest.mark.parametrize("family", ["iid", "beta-binomial"])
+    def test_matches_comb_quotient_reference(self, n, family):
+        if family == "iid":
+            m = iid_model(n, 0.02)
+        else:
+            m = SymmetricModel(n, beta_binomial_alpha(n, 0.3, 15.0))
+        qc = q_from_alpha(m)
+        assert qc._exact is None
+        assert_allclose(qc.q, reference_float_q(m), rtol=1e-13, atol=0)
+        assert np.all(np.diff(qc.q) <= 0.0)
+        assert qc.q[n] == m.alpha[0]
+        assert qc.q[0] == 1.0
+
+    def test_nonincreasing_for_random_models(self):
+        rng = np.random.default_rng(107)
+        for n in (101, 137, 260):
+            m = SymmetricModel(n, random_alpha(rng, n))
+            qc = q_from_alpha(m)
+            assert np.all(np.diff(qc.q) <= 0.0)
+            assert qc.q[n] == m.alpha[0]
+
+
+class TestLargeNConversions:
+    """n = 1100: C(n, k) exceeds the float range near k = n/2."""
+
+    N = 1100
+
+    def test_representable_results_compute(self):
+        m = iid_model(self.N, 0.01)
+        ow = w_from_alpha(m)
+        k = np.flatnonzero(m.alpha > 1e-250)
+        assert_allclose(ow.w[k], [m.alpha[i] / math.comb(self.N, int(i)) for i in k], rtol=1e-15)
+        back = alpha_from_w(ow)
+        assert np.max(np.abs(back.alpha - m.alpha)) < 1e-15
+        assert OutcomeWeights(self.N, ow.w).n == self.N
+        for k_pos in (0, self.N):
+            ow = w_from_q(q_from_alpha(point_mass(self.N, k_pos)))
+            assert ow.w[k_pos] == 1.0 and np.count_nonzero(ow.w) == 1
+
+    def test_unrepresentable_results_raise_validation_error(self):
+        uniform = SymmetricModel(self.N, np.full(self.N + 1, 1.0 / (self.N + 1)))
+        with pytest.raises(ValidationError, match="underflows") as err:
+            w_from_alpha(uniform)
+        assert "\n" not in str(err.value)
+        with pytest.raises(ValidationError, match="float range") as err:
+            w_from_q(q_from_alpha(iid_model(self.N, 0.01)))
+        assert "\n" not in str(err.value)
+        w = np.zeros(self.N + 1)
+        w[self.N // 2] = 1.0
+        with pytest.raises(ValidationError, match="float range"):
+            OutcomeWeights(self.N, w)
+
+
+class TestPopulationSizeCheck:
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "4"])
+    def test_same_message_for_every_representation(self, bad):
+        from poolpart import CostVector
+
+        for make in (
+            lambda: SymmetricModel(bad, np.array([1.0])),
+            lambda: QCurve(bad, np.array([1.0])),
+            lambda: OutcomeWeights(bad, np.array([1.0])),
+            lambda: CostVector(bad, np.array([np.nan, 1.0])),
+            lambda: iid_model(bad, 0.1),
+        ):
+            with pytest.raises(ValidationError) as err:
+                make()
+            assert str(err.value) == f"population size must be an integer >= 1, got {bad!r}"

@@ -204,3 +204,65 @@ class TestValueTable:
     def test_head_must_be_zero(self):
         with pytest.raises(ValidationError):
             ValueTable(np.array([1.0, 2.0]), np.array([0, 1]))
+
+
+def scalar_dp(cv, target, tie_rtol=1e-12):
+    """dp_solve's table as a two-pass scalar loop: the minimum first, then
+    the largest part within the tie tolerance.  Oracle for the vectorized
+    single pass."""
+    values = np.zeros(target + 1)
+    choices = np.zeros(target + 1, dtype=int)
+    for k in range(1, target + 1):
+        limit = min(k, cv.max_size)
+        best_v = math.inf
+        for i in range(1, limit + 1):
+            v = values[k - i] + cv.c[i]
+            if v < best_v:
+                best_v = v
+        tol = tie_rtol * abs(best_v)
+        best_i = max(
+            i for i in range(1, limit + 1) if values[k - i] + cv.c[i] <= best_v + tol
+        )
+        values[k] = values[k - best_i] + cv.c[best_i]
+        choices[k] = best_i
+    return values, choices
+
+
+def linear_costs(n, max_size=None):
+    m = max_size or n
+    c = np.empty(m + 1)
+    c[0] = np.nan
+    c[1:] = 0.1 * np.arange(1, m + 1)
+    return CostVector(n, c)
+
+
+class TestDpMatchesScalarLoop:
+    """values and choices are bit-identical to the two-pass scalar loop."""
+
+    def assert_identical(self, cv, target):
+        values, choices = scalar_dp(cv, target)
+        _, table = dp_solve(cv, target)
+        assert np.array_equal(table.values, values)
+        assert np.array_equal(table.choices, choices)
+
+    def test_random_costs(self):
+        rng = np.random.default_rng(207)
+        for _ in range(30):
+            n = int(rng.integers(1, 160))
+            self.assert_identical(random_costs(rng, n), n)
+
+    def test_linear_tie_heavy_costs(self):
+        for n in (1, 2, 7, 50, 137):
+            self.assert_identical(linear_costs(n), n)
+            self.assert_identical(flat_costs(n), n)
+
+    def test_max_size_below_target(self):
+        rng = np.random.default_rng(208)
+        for n, m in ((10, 1), (40, 3), (120, 17), (300, 64)):
+            self.assert_identical(random_costs(rng, n, max_size=m), n)
+            self.assert_identical(linear_costs(n, max_size=m), n)
+
+    def test_float_path_plans(self):
+        for n in (101, 384):
+            cv = cost_vector(q_from_alpha(iid_model(n, 0.02)), 64)
+            self.assert_identical(cv, n)
