@@ -17,12 +17,16 @@ Conversions carry exact rational values alongside the float64 vectors
 whenever n <= _EXACT_LIMIT.  The q -> w recursion subtracts near-equal
 quantities and amplifies rounding in q by roughly 2**n, so float arithmetic
 alone cannot round-trip alpha -> q -> w -> alpha at large n; the rational
-channel makes the round trip exact.  Without the channel, alpha -> q is an
-O(n**2) float recurrence on binomial ratios in [0, 1] (relative error below
-(2h + 2) * 2**-53 at group size h), the remaining conversions use
-compensated summation, and every product or quotient with a binomial
-coefficient is rounded once from the exact integers, so C(n, k) beyond the
-float range (n >= 1030) does not overflow.
+channel makes the round trip exact.  The exact q -> w inversion runs on
+integer numerators over one common denominator and rounds each w[k] once.
+The exact alpha -> q sum still adds Fractions: an integer sum would speed
+`report` several-fold, and that waits until the benchmark's memory reading
+no longer grows with the number of ops it completes (ROADMAP item 6).
+Without the channel, alpha -> q is an O(n**2) float recurrence on binomial
+ratios in [0, 1] (relative error below (2h + 2) * 2**-53 at group size h),
+the remaining conversions use compensated summation, and every product or
+quotient with a binomial coefficient is rounded once from the exact
+integers, so C(n, k) beyond the float range (n >= 1030) does not overflow.
 
 All values are immutable after construction and safe to share across
 threads.  Sampling takes an explicit seed or generator and keeps no hidden
@@ -290,23 +294,33 @@ def w_from_q(qc: QCurve) -> OutcomeWeights:
     forces sum_k C(n,k) w[k] = q[0] = 1; drift beyond 1e-9 after clamping
     is likewise an error, drift in (1e-12, 1e-9] is renormalized away.
 
+    With the rational channel the recursion runs on Python integers: every
+    q[h] is put over one common denominator L = lcm of the denominators, the
+    numerators W[k] follow the recursion exactly (coefficients from a
+    running Pascal row, zero terms skipped), and each float is rounded once
+    as W[k] / L, which is correctly rounded and equals float(Fraction(W[k],
+    L)).  The channel returned is Fraction(W[k], L), so floats and rationals
+    match the Fraction recursion bit for bit.
+
     Rounding in a float q is amplified by roughly 2**n here.  Curves
     produced by q_from_alpha carry exact rationals and invert exactly;
-    float-only curves are trustworthy only at small n.  A float recursion
-    that leaves the float range raises ValidationError.
+    float-only curves are trustworthy only at small n.  When a float-only
+    curve reconstructs a negative w[k] that rounding of that size could
+    explain, the error says so.  A float recursion that leaves the float
+    range raises ValidationError.
     """
     n = qc.n
     if qc._exact is not None:
         qx = qc._exact
-        wx = [qx[n]]
+        den = math.lcm(*(x.denominator for x in qx))
+        qi = [x.numerator * (den // x.denominator) for x in qx]
+        wi = [qi[n]]
+        row = [1]  # C(k, i), i = 0..k
         for k in range(1, n + 1):
-            acc = qx[n - k]
-            for i in range(k):
-                if wx[i]:
-                    acc -= math.comb(k, i) * wx[i]
-            wx.append(acc)
-        w = np.array([float(x) for x in wx])
-        exact: ExactVec = tuple(wx)
+            row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
+            wi.append(qi[n - k] - sum(c * x for c, x in zip(row, wi) if x))
+        w = np.array([x / den for x in wi])
+        exact: ExactVec = tuple(Fraction(x, den) for x in wi)
     else:
         wl = []
         try:
@@ -324,9 +338,17 @@ def w_from_q(qc: QCurve) -> OutcomeWeights:
     bad = [(k, v) for k, v in enumerate(w) if v < _NEG_W_TOL]
     if bad:
         k, v = bad[0]
+        note = ""
+        # rounding in a float q (2**-53) amplified by 2**n can reach 2**(n - 53)
+        if exact is None and math.log2(-v) < n - 53:
+            note = (
+                f"; without a rational channel the float recursion amplifies rounding "
+                f"in q by about 2**{n}, so at n = {n} this may be rounding, not an invalid q"
+            )
         raise ValidationError(
-            f"q is not a valid symmetric representation: reconstructed w[{k}] = {v!r} "
+            f"q is not a valid symmetric representation: reconstructed w[{k}] = {float(v)!r} "
             f"< {_NEG_W_TOL} ({len(bad)} entr{'y' if len(bad) == 1 else 'ies'} below tolerance)"
+            f"{note}"
         )
     clamped = w < 0.0
     if clamped.any():

@@ -5,9 +5,11 @@ import pytest
 
 from poolpart import (
     InfeasibleError,
+    MultiplicityFunction,
     SymmetricModel,
     iid_model,
     emit_model_analysis,
+    empirical_evaluate,
     fit_iid,
     fit_symmetric,
     read_batches,
@@ -245,6 +247,39 @@ class TestReportCommand:
         )
         assert code == 0
         assert json.loads(out)["trials"] == 5
+
+    def test_shared_designs_replay_once_with_same_bytes(
+        self, capsys, batches_file, tmp_path, monkeypatch
+    ):
+        from poolpart import cli
+
+        calls = []
+
+        def counting(batches, mu, *args):
+            calls.append(mu.counts)
+            return empirical_evaluate(batches, mu, *args)
+
+        monkeypatch.setattr(cli, "empirical_evaluate", counting)
+        out_path = tmp_path / "report.json"
+        code, _ = run(
+            capsys, "report", "--batches", str(batches_file), "--trials", "40",
+            "--seed", "5", "--out", str(out_path),
+        )
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        designs = [tuple(sorted(s["multiplicity"].items())) for s in doc["strategies"]]
+        assert len(set(designs)) < len(designs)  # this cohort shares a design
+        assert len(calls) == 2 * len(set(calls)) == 2 * len(set(designs))
+        # the same document with every strategy replayed on its own
+        batches = read_batches(batches_file)
+        for s in doc["strategies"]:
+            mu = MultiplicityFunction(80, {int(i): m for i, m in s["multiplicity"].items()})
+            s["empirical"] = {
+                "randomized": empirical_evaluate(batches, mu, True, 40, 5).to_dict(),
+                "deterministic": empirical_evaluate(batches, mu, False, 40, 5).to_dict(),
+            }
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert out_path.read_bytes() == expected.encode()
 
 
 class TestEmitModelAnalysis:

@@ -1,4 +1,6 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -403,3 +405,106 @@ class TestPopulationSizeCheck:
             with pytest.raises(ValidationError) as err:
                 make()
             assert str(err.value) == f"population size must be an integer >= 1, got {bad!r}"
+
+
+def fraction_w_from_q(qx, n):
+    """The exact q -> w recursion on Fractions, as w_from_q ran it before
+    the integer-numerator form: kept as the oracle for its channel."""
+    wx = [qx[n]]
+    for k in range(1, n + 1):
+        acc = qx[n - k]
+        for i in range(k):
+            if wx[i]:
+                acc -= math.comb(k, i) * wx[i]
+        wx.append(acc)
+    return wx
+
+
+@functools.lru_cache(maxsize=None)
+def exact_model_and_q(family, n):
+    """Model and exact q curve, shared by the oracle and round-trip tests
+    (the IID curve at n = 100 takes about 0.5 s to build)."""
+    if family == "iid":
+        m = iid_model(n, 0.02)
+    elif family == "beta-binomial":
+        m = SymmetricModel(n, beta_binomial_alpha(n, 0.3, 15.0))
+    else:
+        m = SymmetricModel(n, random_alpha(np.random.default_rng(1000 + n), n))
+    qc = q_from_alpha(m)
+    assert qc._exact is not None
+    return m, qc
+
+
+class TestExactWFromQOracle:
+    """The integer-numerator inversion against the Fraction recursion."""
+
+    def assert_matches_reference(self, qc):
+        ref = fraction_w_from_q(qc._exact, qc.n)
+        ow = w_from_q(qc)
+        assert ow.w.tobytes() == np.array([float(x) for x in ref]).tobytes()
+        assert ow._exact == tuple(ref)
+        assert all(type(x) is Fraction for x in ow._exact)
+        return ow
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 48, 80, 100])
+    @pytest.mark.parametrize("family", ["iid", "beta-binomial", "random"])
+    def test_models(self, family, n):
+        self.assert_matches_reference(exact_model_and_q(family, n)[1])
+
+    def test_non_dyadic_denominators(self):
+        # w with thirds and sevenths; q[h] = sum_k C(n-h,k) w[k]
+        n = 4
+        wx = [Fraction(1, 3), Fraction(1, 21), Fraction(1, 42), Fraction(1, 63), Fraction(0)]
+        wx[4] = 1 - sum(math.comb(n, k) * wx[k] for k in range(n))
+        qx = tuple(sum(math.comb(n - h, k) * wx[k] for k in range(n - h + 1)) for h in range(n + 1))
+        den = math.lcm(*(x.denominator for x in qx))
+        assert den & (den - 1) != 0  # not a power of two
+        qc = QCurve(n, np.array([float(x) for x in qx]), _exact=qx)
+        ow = self.assert_matches_reference(qc)
+        assert ow._exact == tuple(wx)
+
+    def test_negative_w_raises_the_reference_message(self):
+        qx = (Fraction(1), Fraction(9, 10), Fraction(1, 5))
+        ref = fraction_w_from_q(qx, 2)
+        assert ref[2] == Fraction(-3, 5)
+        qc = QCurve(2, np.array([float(x) for x in qx]), _exact=qx)
+        with pytest.raises(ValidationError) as err:
+            w_from_q(qc)
+        assert str(err.value) == (
+            f"q is not a valid symmetric representation: reconstructed w[2] = "
+            f"{float(ref[2])!r} < -1e-09 (1 entry below tolerance)"
+        )
+
+    def test_clamped_negative_drops_the_channel(self):
+        # w[2] = 1 + q[2] - 2 q[1] = -1e-10 exactly: inside the clamp band
+        qx = (Fraction(1), Fraction(5, 8) + Fraction(1, 2 * 10**10), Fraction(1, 4))
+        assert fraction_w_from_q(qx, 2)[2] == Fraction(-1, 10**10)
+        ow = w_from_q(QCurve(2, np.array([float(x) for x in qx]), _exact=qx))
+        assert ow.w[2] == 0.0 and ow._exact is None
+
+
+class TestFloatOnlyNegativeW:
+    def test_error_at_n101_says_rounding_may_be_at_fault(self):
+        # a valid q: the float recursion's 2**n amplification makes w < 0
+        with pytest.raises(ValidationError, match="^q is not a valid symmetric") as err:
+            w_from_q(q_from_alpha(iid_model(101, 0.02)))
+        msg = str(err.value)
+        assert "\n" not in msg
+        assert "np.float64" not in msg
+        assert "2**101" in msg and "may be rounding" in msg
+        v = float(msg.split(" = ", 1)[1].split(" ", 1)[0])
+        assert -1e-6 < v < -1e-9
+
+    def test_small_n_error_does_not_blame_rounding(self):
+        with pytest.raises(ValidationError) as err:
+            w_from_q(QCurve(2, np.array([1.0, 0.9, 0.2])))
+        assert "rounding" not in str(err.value)
+
+
+class TestRoundTripAtPlanSweepSizes:
+    @pytest.mark.parametrize("n", [80, 100])
+    @pytest.mark.parametrize("family", ["iid", "beta-binomial"])
+    def test_exact_roundtrip_is_bit_identical(self, family, n):
+        m, qc = exact_model_and_q(family, n)
+        back = alpha_from_w(w_from_q(qc))
+        assert back.alpha.tobytes() == m.alpha.tobytes()
