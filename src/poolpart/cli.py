@@ -25,7 +25,7 @@ import argparse
 import contextlib
 import csv
 import json
-import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -66,30 +66,25 @@ STRATEGIES = ("team8", "dorfman", "iid", "symmetric")
 class StrategyReport:
     """One strategy's pooling and its evaluations for a single batch size.
 
-    theoretical_tests / theoretical_efficiency are computed under the
-    fitted exchangeable model; iid_tests / iid_efficiency under the fitted
-    IID model.
+    theoretical_tests is computed under the fitted exchangeable model and
+    iid_tests under the fitted IID model; each efficiency is the batch size
+    over those tests.
     """
 
     strategy: str
     multiplicity: MultiplicityFunction
     theoretical_tests: float
-    theoretical_efficiency: float
     iid_tests: float
-    iid_efficiency: float
     empirical_randomized: Optional[TrialSummary] = None
     empirical_deterministic: Optional[TrialSummary] = None
 
-    def __post_init__(self):
-        n = self.multiplicity.target
-        for tests, eff in (
-            (self.theoretical_tests, self.theoretical_efficiency),
-            (self.iid_tests, self.iid_efficiency),
-        ):
-            if not math.isclose(eff, n / tests, rel_tol=1e-12):
-                raise ValidationError(
-                    f"efficiency {eff!r} does not equal {n}/{tests!r}"
-                )
+    @property
+    def theoretical_efficiency(self) -> float:
+        return efficiency(self.multiplicity.target, self.theoretical_tests)
+
+    @property
+    def iid_efficiency(self) -> float:
+        return efficiency(self.multiplicity.target, self.iid_tests)
 
     def to_dict(self) -> dict:
         return {
@@ -231,9 +226,7 @@ def run_experiment(
                 strategy=name,
                 multiplicity=mu,
                 theoretical_tests=t_sym,
-                theoretical_efficiency=efficiency(batch_size, t_sym),
                 iid_tests=t_iid,
-                iid_efficiency=efficiency(batch_size, t_iid),
                 empirical_randomized=randomized,
                 empirical_deterministic=deterministic,
             )
@@ -299,27 +292,30 @@ def _write_json(doc: dict, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _load_model(path) -> SymmetricModel:
+def _load_json(path):
+    """Parse a UTF-8 JSON file (BOM skipped); bad JSON raises ValidationError."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ValidationError(f"{path}: invalid JSON: {e}") from e
-    return SymmetricModel.from_dict(doc)
+
+
+def _load_model(path) -> SymmetricModel:
+    return SymmetricModel.from_dict(_load_json(path))
 
 
 def _load_multiplicity(path) -> MultiplicityFunction:
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise ValidationError(f"{path}: invalid JSON: {e}") from e
+    doc = _load_json(path)
     if isinstance(doc, dict) and "multiplicity" in doc:
         doc = doc["multiplicity"]
     if not isinstance(doc, dict) or not doc:
         raise ValidationError(f"{path}: expected a nonempty size->count object")
+    for i, m in doc.items():
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+            raise ValidationError(f"{path}: count for size {i} must be an integer, got {m!r}")
     try:
-        counts = {int(i): int(m) for i, m in doc.items()}
+        counts = {int(i): m for i, m in doc.items()}
     except (TypeError, ValueError) as e:
         raise ValidationError(f"{path}: bad multiplicity entry: {e}") from e
     target = sum(i * m for i, m in counts.items())

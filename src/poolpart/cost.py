@@ -13,7 +13,7 @@ what turns optimal pooling into an additive integer-partition problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -65,9 +65,18 @@ class GroupFamily:
 
     Member order inside a group and group order in the family are preserved;
     a family whose union is the whole population is a pooling.
+
+    Construction also compiles the layout that `tests` tallies with, as
+    read-only arrays: `members` holds every member in group order,
+    `starts[j]` is the offset of group j in `members`, and `retest[j]` is
+    the retest charge of group j when positive, its size, or zero for a
+    singleton, whose one test already settles its status.
     """
 
     groups: tuple
+    members: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+    retest: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         gs = tuple(tuple(int(i) for i in g) for g in self.groups)
@@ -83,7 +92,16 @@ class GroupFamily:
                 if i in seen:
                     raise ValidationError(f"groups must be pairwise disjoint; index {i} repeats")
                 seen.add(i)
+        sizes = np.array([len(g) for g in gs])
+        layout = {
+            "members": np.fromiter((i for g in gs for i in g), dtype=np.intp, count=len(seen)),
+            "starts": np.cumsum(sizes) - sizes,
+            "retest": sizes * (sizes >= 2),
+        }
         object.__setattr__(self, "groups", gs)
+        for name, v in layout.items():
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
     @property
     def sizes(self) -> tuple:
@@ -91,7 +109,13 @@ class GroupFamily:
 
     @property
     def covered(self) -> int:
-        return sum(len(g) for g in self.groups)
+        return len(self.members)
+
+    def tests(self, rows: np.ndarray) -> np.ndarray:
+        """Total tests for each row of a (rows x population) 0/1 status
+        matrix.  Specimens in no group are never read."""
+        positive = np.maximum.reduceat(rows[:, self.members], self.starts, axis=1)
+        return len(self.starts) + positive @ self.retest
 
 
 def expected_tests_group(qc: QCurve, h: int) -> float:

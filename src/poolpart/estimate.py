@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import SymmetricModel, iid_model
+from .model import SymmetricModel, iid_model, status_matrix
 
 __all__ = [
     "EmpiricalCounts",
@@ -49,29 +49,8 @@ class EmpiricalCounts:
         object.__setattr__(self, "histogram", h)
 
 
-def _status_matrix(batches: Sequence) -> np.ndarray:
-    if not batches:
-        raise ValidationError("at least one batch is required to fit a model")
-    rows = []
-    size = None
-    for b in batches:
-        s = np.asarray(getattr(b, "statuses", b))
-        if s.ndim != 1:
-            raise ValidationError("each batch must be a 1-d status vector")
-        if size is None:
-            size = s.shape[0]
-        elif s.shape[0] != size:
-            raise ValidationError(
-                f"heterogeneous batch sizes: {size} then {s.shape[0]}"
-            )
-        if not np.all((s == 0) | (s == 1)):
-            raise ValidationError("batch statuses must be binary; filter inconclusives upstream")
-        rows.append(s.astype(np.uint8))
-    return np.stack(rows)
-
-
 def empirical_counts(batches: Sequence) -> EmpiricalCounts:
-    data = _status_matrix(batches)
+    data = status_matrix(batches)
     n = data.shape[1]
     hist = np.bincount(data.sum(axis=1), minlength=n + 1)
     return EmpiricalCounts(n, hist, data.shape[0])
@@ -83,8 +62,8 @@ def fit_symmetric(batches: Sequence, laplace: float = 0.0) -> SymmetricModel:
     Optional additive smoothing (laplace > 0) keeps downstream q curves away
     from hard zeros; the default is the raw, possibly non-monotone histogram.
     """
-    if laplace < 0:
-        raise ValidationError(f"laplace must be >= 0, got {laplace!r}")
+    if not (math.isfinite(laplace) and laplace >= 0):
+        raise ValidationError(f"laplace must be finite and >= 0, got {laplace!r}")
     ec = empirical_counts(batches)
     num = ec.histogram.astype(float) + laplace
     alpha = num / (ec.total_batches + laplace * (ec.n + 1))
@@ -94,9 +73,9 @@ def fit_symmetric(batches: Sequence, laplace: float = 0.0) -> SymmetricModel:
 def fit_iid(batches: Sequence, laplace: float = 0.0) -> SymmetricModel:
     """MLE within the IID subfamily: prevalence = pooled positive fraction,
     smoothed toward 1/2 by `laplace` pseudo-counts per status."""
-    if laplace < 0:
-        raise ValidationError(f"laplace must be >= 0, got {laplace!r}")
-    data = _status_matrix(batches)
+    if not (math.isfinite(laplace) and laplace >= 0):
+        raise ValidationError(f"laplace must be finite and >= 0, got {laplace!r}")
+    data = status_matrix(batches)
     positives = float(data.sum())
     specimens = float(data.size)
     p = (positives + laplace) / (specimens + 2.0 * laplace)

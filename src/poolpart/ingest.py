@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import ValidationError
+from .model import binary_vector
 
 __all__ = [
     "PoolRecord",
@@ -83,14 +84,7 @@ class Batch:
     source_pools: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        s = np.asarray(self.statuses)
-        if s.ndim != 1 or s.size == 0:
-            raise ValidationError("batch statuses must be a nonempty 1-d vector")
-        if not np.all((s == 0) | (s == 1)):
-            raise ValidationError("batch statuses must be binary")
-        s = s.astype(np.uint8).copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "statuses", s)
+        object.__setattr__(self, "statuses", binary_vector(self.statuses))
         object.__setattr__(self, "source_pools", tuple(self.source_pools))
 
     @property

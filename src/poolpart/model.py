@@ -132,7 +132,11 @@ class SymmetricModel:
             raise ValidationError(f"model document needs keys 'n' and 'alpha': {e}") from e
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise ValidationError(f"model 'n' must be an integer, got {n!r}")
-        return cls(int(n), np.asarray(alpha, dtype=float))
+        try:
+            alpha = np.asarray(alpha, dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"model 'alpha' must be a list of numbers: {e}") from e
+        return cls(int(n), alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,14 +186,7 @@ class OutcomeVector:
     statuses: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.statuses)
-        if s.ndim != 1 or s.size == 0:
-            raise ValidationError("statuses must be a nonempty 1-d vector")
-        if not np.all((s == 0) | (s == 1)):
-            raise ValidationError("statuses must be 0/1 valued")
-        s = s.astype(np.uint8).copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "statuses", s)
+        object.__setattr__(self, "statuses", binary_vector(self.statuses))
 
     @property
     def n(self) -> int:
@@ -198,6 +195,37 @@ class OutcomeVector:
     @property
     def nnz(self) -> int:
         return int(self.statuses.sum())
+
+
+def binary_vector(statuses) -> np.ndarray:
+    """A read-only uint8 copy of one nonempty 1-d 0/1 status vector."""
+    s = np.asarray(statuses)
+    if s.ndim != 1 or s.size == 0:
+        raise ValidationError("statuses must be a nonempty 1-d vector")
+    s = status_matrix([s])[0]
+    s.setflags(write=False)
+    return s
+
+
+def status_matrix(batches: Sequence, size: Optional[int] = None) -> np.ndarray:
+    """Stack a cohort of status vectors (arrays, or objects with a
+    `.statuses` array) into a (batches x size) uint8 0/1 matrix.  Every
+    batch must be 1-d, of length `size` when given, else of the first
+    batch's length.  The 0/1 check runs once, on the stacked matrix."""
+    rows = [np.asarray(getattr(b, "statuses", b)) for b in batches]
+    if not rows:
+        raise ValidationError("at least one batch is required")
+    for s in rows:
+        if s.ndim != 1:
+            raise ValidationError("each batch must be a 1-d status vector")
+        if size is not None and len(s) != size:
+            raise ValidationError(f"batch size {len(s)} does not match target size {size}")
+        if len(s) != len(rows[0]):
+            raise ValidationError(f"heterogeneous batch sizes: {len(rows[0])} then {len(s)}")
+    data = np.stack(rows)
+    if not np.all((data == 0) | (data == 1)):
+        raise ValidationError("statuses must be 0/1 valued")
+    return data.astype(np.uint8)
 
 
 def _outcome_mass(n: int, w: np.ndarray) -> float:

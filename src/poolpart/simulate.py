@@ -5,6 +5,10 @@ over model draws; `empirical_evaluate` replays a pooling design against
 recorded batch statuses, optionally randomizing the specimen-to-pool
 assignment within each batch.
 
+Monte Carlo and replay tally blocks of outcome rows with `GroupFamily.tests`;
+replay stacks and checks its cohort with `model.status_matrix`.
+`run_dorfman`'s per-group loop is the reference the tests hold them to.
+
 Random draws come from counter-based Philox substreams
 `substream(seed, lane, draw)`, one per lane rather than one per trial:
 
@@ -35,7 +39,7 @@ import numpy as np
 
 from .cost import GroupFamily
 from .errors import ValidationError
-from .model import OutcomeVector, SymmetricModel, substream
+from .model import OutcomeVector, SymmetricModel, status_matrix, substream
 from .optimize import MultiplicityFunction, pooling_from_multiplicity
 
 __all__ = [
@@ -134,29 +138,6 @@ def summarize_totals(totals: np.ndarray, specimens: int, batches: int = 1) -> Tr
     return TrialSummary(len(totals), mean_tests, se, mean_eff, eff_se)
 
 
-@dataclass(frozen=True, eq=False)
-class _Design:
-    """A group family compiled for blocks of outcome rows: member columns
-    in group order, reduceat starts, and per-pool retest charges (zero for
-    singletons, which are never retested).  Specimens in no group are
-    never read."""
-
-    cols: np.ndarray
-    starts: np.ndarray
-    retest: np.ndarray
-
-    @classmethod
-    def of(cls, f: GroupFamily) -> "_Design":
-        sizes = np.array(f.sizes)
-        cols = np.fromiter((i for g in f.groups for i in g), dtype=np.intp, count=f.covered)
-        return cls(cols, np.cumsum(sizes) - sizes, sizes * (sizes >= 2))
-
-    def tests(self, rows: np.ndarray) -> np.ndarray:
-        """Total tests for each row of a (rows x n) 0/1 status matrix."""
-        positive = np.maximum.reduceat(rows[:, self.cols], self.starts, axis=1)
-        return len(self.starts) + positive @ self.retest
-
-
 def _orderings(
     rng: np.random.Generator, trials: int, n: int
 ) -> Iterator[Tuple[slice, np.ndarray]]:
@@ -180,8 +161,7 @@ def mc_trial_totals(
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    design = _Design.of(f)
-    top = int(design.cols.max())
+    top = int(f.members.max())
     if top >= m.n:
         raise IndexError(f"group member {top} outside population of size {m.n}")
     n = m.n
@@ -191,7 +171,7 @@ def mc_trial_totals(
     for block, order in _orderings(substream(seed, 1, 0), trials, n):
         x = np.empty(order.shape, dtype=np.uint8)
         np.put_along_axis(x, order, rank < counts[block, None], axis=1)
-        totals[block] = design.tests(x)
+        totals[block] = f.tests(x)
     return totals
 
 
@@ -207,21 +187,6 @@ def monte_carlo(
     return summarize_totals(mc_trial_totals(m, f, trials, seed), f.covered)
 
 
-def _batch_matrix(batches: Sequence, target: int) -> np.ndarray:
-    rows = []
-    for b in batches:
-        s = np.asarray(getattr(b, "statuses", b), dtype=np.uint8)
-        if s.ndim != 1 or s.shape[0] != target:
-            raise ValidationError(
-                f"batch size {s.shape[0] if s.ndim == 1 else s.shape} "
-                f"does not match pooling target {target}"
-            )
-        rows.append(s)
-    if not rows:
-        raise ValidationError("at least one batch is required")
-    return np.stack(rows)
-
-
 def _replay_sums(
     batches: Sequence,
     mu: MultiplicityFunction,
@@ -234,10 +199,10 @@ def _replay_sums(
     randomize.  Sums run in batch order, so they do not depend on the
     block size."""
     n = mu.target
-    data = _batch_matrix(batches, n)
-    design = _Design.of(pooling_from_multiplicity(mu, range(n)))
+    data = status_matrix(batches, n)
+    f = pooling_from_multiplicity(mu, range(n))
     if not randomize:
-        tests = design.tests(data)
+        tests = f.tests(data)
         return np.array([tests.sum()]), np.array([np.sum(n / tests)])
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -245,12 +210,12 @@ def _replay_sums(
     eff_sum = np.zeros(trials)
     for b, row in enumerate(data):
         if row.min() == row.max():  # every assignment costs the same
-            tests = design.tests(row[None])
+            tests = f.tests(row[None])
             tests_sum += tests
             eff_sum += n / tests
             continue
         for block, order in _orderings(substream(seed, b, 0), trials, n):
-            tests = design.tests(row[order])
+            tests = f.tests(row[order])
             tests_sum[block] += tests
             eff_sum[block] += n / tests
     return tests_sum, eff_sum

@@ -335,6 +335,9 @@ NON_UTF8_POOLS = (
 )
 
 
+BATCHES_4 = "batch_index,statuses\n0,NNPN\n1,NNNN\n"
+
+
 class TestUtf8ByteOrderMark:
     """A leading BOM is skipped: the file reads as it does without one."""
 
@@ -368,6 +371,8 @@ class TestMalformedInputs:
     INGEST = ["ingest", "--input", "{path}", "--out", "{dir}/b.csv", "--batch-size", "8"]
     OPTIMIZE = ["optimize", "--model", "{path}"]
     FIT = ["fit", "--input", "{path}"]
+    SIMULATE = ["simulate", "--batches", "{dir}/b.csv", "--multiplicity", "{path}"]
+    REPORT = ["report", "--batches", "{path}", "--batch-size", "4", "--laplace"]
 
     @pytest.mark.parametrize(
         "argv, content, needle",
@@ -378,10 +383,20 @@ class TestMalformedInputs:
             (INGEST, NON_UTF8_POOLS, "not UTF-8"),
             (FIT, b"batch_index,statuses\n0,NNPN\xe9\n", "not UTF-8"),
             (OPTIMIZE, b'{"n": 1, "alpha": [1.0, 0.0], "note": "\xff"}', "invalid JSON"),
+            (SIMULATE, json.dumps({"4": 2.5}), "integer"),
+            (SIMULATE, json.dumps({"8": 1.9}), "integer"),
+            (SIMULATE, json.dumps({"8": True}), "integer"),
+            (OPTIMIZE, json.dumps({"n": 1, "alpha": "abc"}), "alpha"),
+            (OPTIMIZE, json.dumps({"n": 1, "alpha": {"a": 1}}), "alpha"),
+            (REPORT + ["inf"], BATCHES_4, "laplace"),
+            (REPORT + ["nan"], BATCHES_4, "laplace"),
         ],
         ids=[
             "mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n",
             "non-utf8-pool-csv", "non-utf8-batch-csv", "non-utf8-model-json",
+            "fractional-multiplicity-count", "fractional-multiplicity-count-below-2",
+            "boolean-multiplicity-count", "string-model-alpha", "object-model-alpha",
+            "infinite-laplace", "nan-laplace",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv, content, needle):

@@ -8,6 +8,7 @@ from conftest import random_alpha
 from poolpart import (
     CostVector,
     GroupFamily,
+    OutcomeVector,
     SymmetricModel,
     ValidationError,
     cost_vector,
@@ -16,6 +17,7 @@ from poolpart import (
     expected_tests_partition,
     iid_model,
     q_from_alpha,
+    run_dorfman,
 )
 
 
@@ -167,3 +169,16 @@ class TestGroupFamily:
         f = GroupFamily(((4, 2, 7), (0,), (3, 5)))
         assert f.sizes == (3, 1, 2)
         assert f.covered == 6
+
+    def test_compiled_layout_on_interleaved_family(self):
+        f = GroupFamily(((8, 0, 5), (3,), (2, 9, 4, 6)))
+        assert f.members.tolist() == [8, 0, 5, 3, 2, 9, 4, 6]
+        assert f.starts.tolist() == [0, 3, 4]
+        assert f.retest.tolist() == [3, 0, 4]
+        assert f.covered == 8
+        assert not f.members.flags.writeable
+        rows = np.random.default_rng(5).integers(0, 2, size=(64, 11), dtype=np.uint8)
+        rows[0] = 0
+        rows[1] = 1
+        want = [run_dorfman(f, OutcomeVector(r)).total_tests for r in rows]
+        assert f.tests(rows).tolist() == want

@@ -23,6 +23,7 @@ from poolpart import (
     w_from_alpha,
     w_from_q,
 )
+from poolpart.model import status_matrix
 
 
 def point_mass(n, k):
@@ -508,3 +509,20 @@ class TestRoundTripAtPlanSweepSizes:
         m, qc = exact_model_and_q(family, n)
         back = alpha_from_w(w_from_q(qc))
         assert back.alpha.tobytes() == m.alpha.tobytes()
+
+
+class TestStatusMatrix:
+    def test_stacks_arrays_and_statuses(self):
+        data = status_matrix([np.array([0, 1, 1]), OutcomeVector(np.array([1, 0, 0]))], 3)
+        assert data.dtype == np.uint8
+        assert data.tolist() == [[0, 1, 1], [1, 0, 0]]
+
+    def test_heterogeneous_sizes(self):
+        with pytest.raises(ValidationError, match="heterogeneous batch sizes: 3 then 2"):
+            status_matrix([np.array([0, 1, 1]), np.array([0, 1])])
+
+    def test_target_size(self):
+        with pytest.raises(ValidationError, match="batch size 2 does not match target size 3"):
+            status_matrix([np.array([0, 1, 1]), np.array([0, 1])], 3)
+        with pytest.raises(ValidationError, match="batch size 3 does not match target size 4"):
+            status_matrix([np.array([0, 1, 1])], 4)

@@ -224,6 +224,14 @@ class TestEmpiricalEvaluate:
         with pytest.raises(ValidationError):
             empirical_evaluate([], MultiplicityFunction(4, {2: 2}), False, 1, 0)
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.6])
+    @pytest.mark.parametrize("randomize", [False, True])
+    @pytest.mark.parametrize("replay", [empirical_evaluate, empirical_trial_totals])
+    def test_non_binary_statuses_rejected(self, replay, randomize, bad):
+        batches = [np.array([0, 1, 0, 0]), np.array([0, bad, 0, 0])]
+        with pytest.raises(ValidationError, match="0/1"):
+            replay(batches, MultiplicityFunction(4, {2: 2}), randomize, 5, 0)
+
 
 class TestTrialSummaryType:
     def test_validation(self):
