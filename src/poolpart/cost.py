@@ -130,10 +130,9 @@ def cost_vector(qc: QCurve, max_size: Optional[int] = None) -> CostVector:
     m = qc.n if max_size is None else max_size
     if not 1 <= m <= qc.n:
         raise ValidationError(f"max_size must lie in [1, {qc.n}], got {max_size!r}")
-    c = np.empty(m + 1)
-    c[0] = np.nan
-    for i in range(1, m + 1):
-        c[i] = expected_tests_group(qc, i)
+    # expected_tests_group for every size at once; CostVector pads c[0]
+    c = 1.0 + np.arange(m + 1) * (1.0 - qc.q[: m + 1])
+    c[1] = 1.0
     return CostVector(qc.n, c)
 
 

@@ -132,10 +132,17 @@ class SymmetricModel:
             raise ValidationError(f"model document needs keys 'n' and 'alpha': {e}") from e
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise ValidationError(f"model 'n' must be an integer, got {n!r}")
+        if not isinstance(alpha, (list, tuple, np.ndarray)):
+            raise ValidationError(
+                f"model 'alpha' must be a list of numbers, got {type(alpha).__name__}"
+            )
+        for a in alpha:
+            if isinstance(a, bool) or not isinstance(a, numbers.Real):
+                raise ValidationError(f"model 'alpha' entries must be numbers, got {a!r}")
         try:
             alpha = np.asarray(alpha, dtype=float)
-        except (TypeError, ValueError) as e:
-            raise ValidationError(f"model 'alpha' must be a list of numbers: {e}") from e
+        except OverflowError as e:  # an integer beyond the float range
+            raise ValidationError(f"model 'alpha' entries must be floats: {e}") from e
         return cls(int(n), alpha)
 
 

@@ -22,6 +22,12 @@ Random draws come from counter-based Philox substreams
                (trials x n) key matrix read row-major; the positives of
                trial t are the first k_t entries of the argsort of row t.
 
+Monte Carlo finds those entries without the argsort: they are the keys at
+or below the k_t-th smallest key of the row, read from a value sort.  Only
+a row whose (k_t+1)-th smallest key equals its k_t-th (an exact tie, about
+n**2 / 2**54 per row at most) is argsorted, so every trial has exactly k_t
+positives and the totals are those of the layout above.
+
 Keys are drawn in blocks of whole rows, at most _BLOCK_ELEMENTS keys each
 (one row when a row is longer).  The block size bounds memory only: every
 block reads the next rows of the same stream, so results do not depend on
@@ -138,16 +144,15 @@ def summarize_totals(totals: np.ndarray, specimens: int, batches: int = 1) -> Tr
     return TrialSummary(len(totals), mean_tests, se, mean_eff, eff_se)
 
 
-def _orderings(
+def _key_blocks(
     rng: np.random.Generator, trials: int, n: int
 ) -> Iterator[Tuple[slice, np.ndarray]]:
-    """Argsorts of the rows of a (trials x n) uniform key matrix read
-    row-major from rng, in blocks of whole rows, with each block's trial
-    slice."""
+    """Blocks of whole rows of a (trials x n) uniform key matrix read
+    row-major from rng, each with its trial slice."""
     rows = max(1, _BLOCK_ELEMENTS // n)
     for t0 in range(0, trials, rows):
         block = slice(t0, min(t0 + rows, trials))
-        yield block, rng.random((block.stop - t0, n)).argsort(axis=1)
+        yield block, rng.random((block.stop - t0, n))
 
 
 def mc_trial_totals(
@@ -156,8 +161,10 @@ def mc_trial_totals(
     """Total tests per trial for outcomes sampled from the model.
 
     Counts come from substream (seed, 0, 0) in one draw for all trials;
-    trial t's positives are the first k_t specimens of the argsort of row t
-    of the key matrix on substream (seed, 1, 0).  See the module docstring.
+    trial t's positives are the first k_t entries of the argsort of row t
+    of the key matrix on substream (seed, 1, 0).  They are found as the
+    keys at or below the row's k_t-th smallest key, from a value sort, with
+    the argsort only on an exact tie.  See the module docstring.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -166,11 +173,18 @@ def mc_trial_totals(
         raise IndexError(f"group member {top} outside population of size {m.n}")
     n = m.n
     counts = substream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
-    rank = np.arange(n)
     totals = np.empty(trials)
-    for block, order in _orderings(substream(seed, 1, 0), trials, n):
-        x = np.empty(order.shape, dtype=np.uint8)
-        np.put_along_axis(x, order, rank < counts[block, None], axis=1)
+    for block, keys in _key_blocks(substream(seed, 1, 0), trials, n):
+        k = counts[block]
+        ranked = np.sort(keys, axis=1)
+        row = np.arange(len(k))
+        # keys lie in [0, 1), so a threshold of -1 selects none
+        threshold = np.where(k > 0, ranked[row, k - 1], -1.0)
+        x = keys <= threshold[:, None]
+        tied = (k < n) & (ranked[row, np.minimum(k, n - 1)] == threshold)
+        for t in np.flatnonzero(tied):
+            x[t] = False
+            x[t, keys[t].argsort()[: k[t]]] = True
         totals[block] = f.tests(x)
     return totals
 
@@ -214,8 +228,8 @@ def _replay_sums(
             tests_sum += tests
             eff_sum += n / tests
             continue
-        for block, order in _orderings(substream(seed, b, 0), trials, n):
-            tests = f.tests(row[order])
+        for block, keys in _key_blocks(substream(seed, b, 0), trials, n):
+            tests = f.tests(row[keys.argsort(axis=1)])
             tests_sum[block] += tests
             eff_sum[block] += n / tests
     return tests_sum, eff_sum

@@ -390,13 +390,18 @@ class TestMalformedInputs:
             (OPTIMIZE, json.dumps({"n": 1, "alpha": {"a": 1}}), "alpha"),
             (REPORT + ["inf"], BATCHES_4, "laplace"),
             (REPORT + ["nan"], BATCHES_4, "laplace"),
+            (OPTIMIZE, json.dumps({"n": 1, "alpha": ["0.5", "0.5"]}), "alpha"),
+            (OPTIMIZE, json.dumps({"n": 1, "alpha": [True, False]}), "alpha"),
+            (OPTIMIZE, json.dumps({"n": 1, "alpha": [None, 1.0]}), "alpha"),
+            (OPTIMIZE, '{"n": 1, "alpha": [1' + "0" * 400 + ", 0]}", "alpha"),
         ],
         ids=[
             "mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n",
             "non-utf8-pool-csv", "non-utf8-batch-csv", "non-utf8-model-json",
             "fractional-multiplicity-count", "fractional-multiplicity-count-below-2",
             "boolean-multiplicity-count", "string-model-alpha", "object-model-alpha",
-            "infinite-laplace", "nan-laplace",
+            "infinite-laplace", "nan-laplace", "string-alpha-entries", "boolean-alpha-entries",
+            "null-alpha-entry", "alpha-entry-beyond-float-range",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv, content, needle):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_alpha
+from test_model import beta_binomial_alpha
 from poolpart import (
     CostVector,
     GroupFamily,
@@ -79,6 +80,19 @@ class TestCostVector:
             for i in range(2, n + 1):
                 assert cv.c[i] == 1.0 + i * (1.0 - qc.q[i])
                 assert 1.0 <= cv.c[i] <= 1.0 + i
+
+    @pytest.mark.parametrize("family", ["iid", "beta-binomial"])
+    @pytest.mark.parametrize("n", [1, 2, 80, 100, 101, 500])
+    def test_matches_per_size_loop(self, family, n):
+        # the loop cost_vector ran before it became one numpy expression
+        if family == "iid":
+            m = iid_model(n, 0.02)
+        else:
+            m = SymmetricModel(n, beta_binomial_alpha(n, 0.3, 15.0))
+        qc = q_from_alpha(m)
+        for size in sorted({n, max(1, n // 3), max(1, n - 1)}):
+            want = [np.nan] + [expected_tests_group(qc, h) for h in range(1, size + 1)]
+            assert cost_vector(qc, max_size=size).c.tobytes() == np.array(want).tobytes()
 
 
 class TestPartitionCost:

@@ -339,3 +339,127 @@ class TestBlockKernel:
             s = empirical_evaluate(batches, mu, True, 2000, 69)
             assert s.std_error > 0.0
             assert abs(s.mean_tests - analytic) < 4 * s.std_error
+
+
+def argsort_kernel(m, f, trials, seed, stream=substream):
+    """The argsort kernel mc_trial_totals ran before it found positives from
+    a value sort, kept as the oracle: argsort every row of the key matrix
+    and mark its first k_t entries."""
+    n = m.n
+    counts = stream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
+    order = stream(seed, 1, 0).random((trials, n)).argsort(axis=1)
+    x = np.empty(order.shape, dtype=np.uint8)
+    np.put_along_axis(x, order, np.arange(n) < counts[:, None], axis=1)
+    return f.tests(x).astype(float)
+
+
+def random_family(rng, n):
+    """Groups cut from a random permutation of a random subset: interleaved
+    members, singletons, and usually some specimens in no group."""
+    covered = rng.permutation(n)[: rng.integers(1, n + 1)]
+    cuts = rng.choice(np.arange(1, covered.size), size=rng.integers(0, covered.size), replace=False)
+    return GroupFamily(tuple(map(tuple, np.split(covered, np.sort(cuts)))))
+
+
+def random_mc_case(rng):
+    n = int(rng.integers(1, 201))
+    alpha = rng.dirichlet(np.full(n + 1, rng.choice([0.1, 1.0])))
+    return SymmetricModel(n, alpha), random_family(rng, n), int(rng.integers(1, 3001))
+
+
+class FourValuedKeys:
+    """Stand-in generator whose keys take the values 0, 1/4, 1/2 and 3/4,
+    read row-major from a real stream, so almost every row has ties."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, shape):
+        return np.floor(self.rng.random(shape) * 4) / 4
+
+
+def four_valued_lane_1(seed, lane, draw):
+    rng = substream(seed, lane, draw)
+    return FourValuedKeys(rng) if lane == 1 else rng
+
+
+class TestValueSortKernel:
+    """mc_trial_totals against the argsort kernel it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("one_row", [False, True])
+    @pytest.mark.parametrize("chunk", range(20))
+    def test_matches_argsort_kernel(self, chunk, one_row, monkeypatch):
+        import poolpart.simulate as sim
+
+        if one_row:  # one row per block, on a tenth of the trials
+            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1)
+        rng = np.random.default_rng([70, chunk])
+        for case in range(10):
+            m, f, trials = random_mc_case(rng)
+            trials = 1 + trials // 10 if one_row else trials
+            seed = 1000 * chunk + case
+            got = mc_trial_totals(m, f, trials, seed)
+            assert got.tobytes() == argsort_kernel(m, f, trials, seed).tobytes()
+
+    def test_edge_sizes(self):
+        for n in (1, 2):
+            m = SymmetricModel(n, np.full(n + 1, 1.0 / (n + 1)))
+            for f in (GroupFamily(((0,),)), GroupFamily((tuple(range(n)),))):
+                for trials in (1, 2, 3000):
+                    got = mc_trial_totals(m, f, trials, 72)
+                    assert got.tobytes() == argsort_kernel(m, f, trials, 72).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 200])
+    def test_tied_keys_keep_exactly_k_positives(self, n, monkeypatch):
+        import poolpart.simulate as sim
+
+        positives = []
+        tally = GroupFamily.tests
+
+        def recording_tests(f, rows):
+            positives.extend(rows.sum(axis=1).tolist())
+            return tally(f, rows)
+
+        rng = np.random.default_rng([73, n])
+        m = SymmetricModel(n, rng.dirichlet(np.ones(n + 1)))
+        f = random_family(rng, n)
+        trials, seed = 500, 74
+        want = argsort_kernel(m, f, trials, seed, four_valued_lane_1)
+        monkeypatch.setattr(sim, "substream", four_valued_lane_1)
+        monkeypatch.setattr(GroupFamily, "tests", recording_tests)
+        got = mc_trial_totals(m, f, trials, seed)
+        counts = substream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
+        assert positives == counts.tolist()
+        assert got.tobytes() == want.tobytes()
+
+
+def variance_from_q(q, f):
+    """Var[T] of a family's total tests from the q curve.  Two disjoint
+    groups are both negative with probability q[h_i + h_j], since their
+    union is one group of h_i + h_j specimens; r_j is the retest charge."""
+    h, r = f.sizes, f.retest.tolist()
+    pairs = [(i, j) for i in range(len(h)) for j in range(len(h)) if i != j]
+    return math.fsum(
+        [r[j] ** 2 * q[h[j]] * (1 - q[h[j]]) for j in range(len(h))]
+        + [r[i] * r[j] * (q[h[i] + h[j]] - q[h[i]] * q[h[j]]) for i, j in pairs]
+    )
+
+
+class TestSecondMoment:
+    """The Monte Carlo sample variance against the exact variance from q,
+    within 4 standard errors taken from the sample's fourth central moment."""
+
+    @pytest.mark.parametrize("family, counts", [("iid", {8: 10}), ("clustered", {10: 8})])
+    def test_mc_variance_matches_q(self, family, counts):
+        if family == "iid":
+            m = iid_model(80, 0.02)
+        else:  # no positives, or exactly 8, as in acceptance criterion 08
+            m = SymmetricModel(80, np.bincount([0, 8], weights=[0.84, 0.16], minlength=81))
+        f = pooling_from_multiplicity(MultiplicityFunction(80, counts), range(80))
+        want = variance_from_q(q_from_alpha(m).q, f)
+        for seed in (75, 76, 77):
+            t = mc_trial_totals(m, f, 20000, seed)
+            s2 = t.var(ddof=1)
+            m4 = np.mean((t - t.mean()) ** 4)
+            se = math.sqrt((m4 - s2**2 * (t.size - 3) / (t.size - 1)) / t.size)
+            assert abs(s2 - want) < 4 * se
