@@ -35,7 +35,7 @@ from .cost import cost_vector, efficiency, expected_tests_group, expected_tests_
 from .errors import InfeasibleError, PoolPartError, ValidationError
 from .estimate import fit_iid, fit_symmetric
 from .ingest import filter_pools, impute_batches, parse_pools, read_batches, write_batches
-from .model import SymmetricModel, iid_model, prevalence, q_from_alpha
+from .model import SymmetricModel, check_uint64, iid_model, prevalence, q_from_alpha
 from .optimize import (
     MultiplicityFunction,
     dorfman_infinite_size,
@@ -75,8 +75,8 @@ class StrategyReport:
     multiplicity: MultiplicityFunction
     theoretical_tests: float
     iid_tests: float
-    empirical_randomized: Optional[TrialSummary] = None
-    empirical_deterministic: Optional[TrialSummary] = None
+    empirical_randomized: TrialSummary
+    empirical_deterministic: TrialSummary
 
     @property
     def theoretical_efficiency(self) -> float:
@@ -103,12 +103,8 @@ class StrategyReport:
                 },
             },
             "empirical": {
-                "randomized": self.empirical_randomized.to_dict()
-                if self.empirical_randomized
-                else None,
-                "deterministic": self.empirical_deterministic.to_dict()
-                if self.empirical_deterministic
-                else None,
+                "randomized": self.empirical_randomized.to_dict(),
+                "deterministic": self.empirical_deterministic.to_dict(),
             },
         }
 
@@ -192,6 +188,7 @@ def run_experiment(
     laplace: float = 0.0,
 ) -> Experiment:
     """Fit both models to a batch file and evaluate all four strategies."""
+    check_uint64("seed", seed)  # up front: replay runs last, and constant batches draw nothing
     with _stage("ingest"):
         batches = read_batches(batches_path)
         for b in batches:

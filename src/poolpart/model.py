@@ -21,7 +21,7 @@ channel makes the round trip exact.  The exact q -> w inversion runs on
 integer numerators over one common denominator and rounds each w[k] once.
 The exact alpha -> q sum still adds Fractions: an integer sum would speed
 `report` several-fold, and that waits until the benchmark's memory reading
-no longer grows with the number of ops it completes (ROADMAP item 6).
+no longer grows with the number of ops it completes (ROADMAP item 1).
 Without the channel, alpha -> q is an O(n**2) float recurrence on binomial
 ratios in [0, 1] (relative error below (2h + 2) * 2**-53 at group size h),
 the remaining conversions use compensated summation, and every product or
@@ -256,17 +256,16 @@ def iid_model(n: int, prevalence: float) -> SymmetricModel:
     p = float(prevalence)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"prevalence must lie in [0, 1], got {p!r}")
-    if p == 0.0 or p == 1.0:
-        alpha = np.zeros(n + 1)
-        alpha[n if p == 1.0 else 0] = 1.0
-        exact = tuple(Fraction(int(x)) for x in alpha) if n <= _EXACT_LIMIT else None
-        return SymmetricModel(n, alpha, _exact=exact)
     if n <= _EXACT_LIMIT:
         pf = Fraction(p)
         qf = 1 - pf
         exact = tuple(math.comb(n, k) * pf**k * qf ** (n - k) for k in range(n + 1))
         alpha = np.array([float(x) for x in exact])
         return SymmetricModel(n, alpha, _exact=exact)
+    if p == 0.0 or p == 1.0:  # the log-space pmf below would take log(0)
+        alpha = np.zeros(n + 1)
+        alpha[n if p == 1.0 else 0] = 1.0
+        return SymmetricModel(n, alpha)
     # log-space binomial pmf for large n; exponent differences stay modest
     lp, lq = math.log(p), math.log1p(-p)
     logc = [
@@ -446,6 +445,12 @@ def marginal_zero_bruteforce(m: SymmetricModel, h: int) -> float:
     return math.fsum(w[z.bit_count()] for z in range(1 << n) if not z & mask)
 
 
+def check_uint64(name: str, v) -> None:
+    """Seeds and stream labels are integers in [0, 2**64)."""
+    if not 0 <= int(v) < 2**64:
+        raise ValidationError(f"{name} must be a uint64, got {v!r}")
+
+
 def substream(seed: int, lane: int = 0, draw: int = 0) -> np.random.Generator:
     """Independent counter-based generator for (seed, lane, draw).
 
@@ -454,8 +459,7 @@ def substream(seed: int, lane: int = 0, draw: int = 0) -> np.random.Generator:
     and results do not depend on scheduling order.
     """
     for name, v in (("seed", seed), ("lane", lane), ("draw", draw)):
-        if not 0 <= int(v) < 2**64:
-            raise ValidationError(f"{name} must be a uint64, got {v!r}")
+        check_uint64(name, v)
     bg = np.random.Philox(key=int(seed), counter=[0, 0, int(lane), int(draw)])
     return np.random.Generator(bg)
 

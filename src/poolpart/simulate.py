@@ -38,14 +38,14 @@ execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .cost import GroupFamily
 from .errors import ValidationError
-from .model import OutcomeVector, SymmetricModel, status_matrix, substream
+from .model import OutcomeVector, SymmetricModel, check_uint64, status_matrix, substream
 from .optimize import MultiplicityFunction, pooling_from_multiplicity
 
 __all__ = [
@@ -97,13 +97,7 @@ class TrialSummary:
             raise ValidationError("standard errors must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean_tests": self.mean_tests,
-            "std_error": self.std_error,
-            "mean_efficiency": self.mean_efficiency,
-            "efficiency_std_error": self.efficiency_std_error,
-        }
+        return asdict(self)
 
 
 def run_dorfman(f: GroupFamily, x: OutcomeVector) -> TestTally:
@@ -201,40 +195,6 @@ def monte_carlo(
     return summarize_totals(mc_trial_totals(m, f, trials, seed), f.covered)
 
 
-def _replay_sums(
-    batches: Sequence,
-    mu: MultiplicityFunction,
-    randomize: bool,
-    trials: int,
-    seed: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-trial sums over the cohort of each batch's tests and of its
-    efficiency n / tests; a single trial in stored order without
-    randomize.  Sums run in batch order, so they do not depend on the
-    block size."""
-    n = mu.target
-    data = status_matrix(batches, n)
-    f = pooling_from_multiplicity(mu, range(n))
-    if not randomize:
-        tests = f.tests(data)
-        return np.array([tests.sum()]), np.array([np.sum(n / tests)])
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    tests_sum = np.zeros(trials, dtype=np.int64)
-    eff_sum = np.zeros(trials)
-    for b, row in enumerate(data):
-        if row.min() == row.max():  # every assignment costs the same
-            tests = f.tests(row[None])
-            tests_sum += tests
-            eff_sum += n / tests
-            continue
-        for block, keys in _key_blocks(substream(seed, b, 0), trials, n):
-            tests = f.tests(row[keys.argsort(axis=1)])
-            tests_sum[block] += tests
-            eff_sum[block] += n / tests
-    return tests_sum, eff_sum
-
-
 def empirical_trial_totals(
     batches: Sequence,
     mu: MultiplicityFunction,
@@ -248,9 +208,26 @@ def empirical_trial_totals(
     batch.  With randomize on, trial t fills batch b's slots in the order
     of the argsort of row t of the key matrix on substream (seed, b, 0)
     (see the module docstring); with randomize off there is a single
-    deterministic pass in stored order (length-1 result).
+    deterministic pass in stored order (length-1 result).  Totals add up
+    in batch order, so they do not depend on the block size.
     """
-    return _replay_sums(batches, mu, randomize, trials, seed)[0].astype(float)
+    if randomize:
+        check_uint64("seed", seed)  # constant batches never reach substream
+        if trials < 1:
+            raise ValidationError(f"trials must be >= 1, got {trials}")
+    n = mu.target
+    data = status_matrix(batches, n)
+    f = pooling_from_multiplicity(mu, range(n))
+    if not randomize:
+        return np.array([f.tests(data).sum()], dtype=float)
+    totals = np.zeros(trials, dtype=np.int64)
+    for b, row in enumerate(data):
+        if row.min() == row.max():  # every assignment costs the same
+            totals += f.tests(row[None])
+            continue
+        for block, keys in _key_blocks(substream(seed, b, 0), trials, n):
+            totals[block] += f.tests(row[keys.argsort(axis=1)])
+    return totals.astype(float)
 
 
 def empirical_evaluate(
@@ -259,19 +236,12 @@ def empirical_evaluate(
     randomize: bool,
     trials: int,
     seed: int,
-    per_batch: bool = False,
 ) -> TrialSummary:
     """Replay a pooling design against recorded batch statuses.
 
     See empirical_trial_totals for the assignment scheme.  mean_tests is
     the mean tests per batch; efficiency is batch_size / mean tests per
-    batch aggregated across the whole cohort per trial, or with per_batch
-    the average of each batch's own ratio.
+    batch, aggregated across the whole cohort per trial.
     """
-    tests, eff = _replay_sums(batches, mu, randomize, trials, seed)
-    nb = len(batches)
-    if not per_batch:
-        return summarize_totals(tests, mu.target, nb)
-    mean_tests, se = _mean_se(tests / nb)
-    mean_eff, eff_se = _mean_se(eff / nb)
-    return TrialSummary(len(tests), mean_tests, se, mean_eff, eff_se)
+    totals = empirical_trial_totals(batches, mu, randomize, trials, seed)
+    return summarize_totals(totals, mu.target, len(batches))

@@ -336,6 +336,7 @@ NON_UTF8_POOLS = (
 
 
 BATCHES_4 = "batch_index,statuses\n0,NNPN\n1,NNNN\n"
+CONSTANT_BATCHES_4 = "batch_index,statuses\n0,NNNN\n1,PPPP\n"
 
 
 class TestUtf8ByteOrderMark:
@@ -373,6 +374,8 @@ class TestMalformedInputs:
     FIT = ["fit", "--input", "{path}"]
     SIMULATE = ["simulate", "--batches", "{dir}/b.csv", "--multiplicity", "{path}"]
     REPORT = ["report", "--batches", "{path}", "--batch-size", "4", "--laplace"]
+    REPORT_SEED = ["report", "--batches", "{path}", "--batch-size", "4", "--seed"]
+    REPLAY_SEED = ["simulate", "--batches", "{path}", "--multiplicity", "{dir}/mu.json", "--seed"]
 
     @pytest.mark.parametrize(
         "argv, content, needle",
@@ -394,6 +397,11 @@ class TestMalformedInputs:
             (OPTIMIZE, json.dumps({"n": 1, "alpha": [True, False]}), "alpha"),
             (OPTIMIZE, json.dumps({"n": 1, "alpha": [None, 1.0]}), "alpha"),
             (OPTIMIZE, '{"n": 1, "alpha": [1' + "0" * 400 + ", 0]}", "alpha"),
+            (REPORT_SEED + ["-1"], CONSTANT_BATCHES_4, "seed"),
+            (REPORT_SEED + [str(2**64)], CONSTANT_BATCHES_4, "seed"),
+            (REPLAY_SEED + ["-5"], CONSTANT_BATCHES_4, "seed"),
+            (REPLAY_SEED + [str(2**64)], CONSTANT_BATCHES_4, "seed"),
+            (["report", "--batches", "{dir}/missing.csv", "--seed", "-1"], "", "seed"),
         ],
         ids=[
             "mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n",
@@ -402,11 +410,15 @@ class TestMalformedInputs:
             "boolean-multiplicity-count", "string-model-alpha", "object-model-alpha",
             "infinite-laplace", "nan-laplace", "string-alpha-entries", "boolean-alpha-entries",
             "null-alpha-entry", "alpha-entry-beyond-float-range",
+            "negative-report-seed-constant-cohort", "report-seed-beyond-uint64-constant-cohort",
+            "negative-replay-seed-constant-cohort", "replay-seed-beyond-uint64-constant-cohort",
+            "report-seed-checked-before-batches-are-read",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv, content, needle):
         path = tmp_path / "input"
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        (tmp_path / "mu.json").write_text('{"2": 2}')  # a valid design for the n = 4 rows
         code = main([a.format(path=path, dir=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert code == 2

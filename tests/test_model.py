@@ -38,13 +38,25 @@ def single_positive_pair():
 
 
 class TestIidModel:
-    def test_zero_prevalence_is_all_negative_point_mass(self):
-        m = iid_model(4, 0.0)
-        assert_allclose(m.alpha, [1, 0, 0, 0, 0])
-
-    def test_unit_prevalence_is_all_positive_point_mass(self):
-        m = iid_model(4, 1.0)
-        assert_allclose(m.alpha, [0, 0, 0, 0, 1])
+    @pytest.mark.parametrize("n", [4, 100, 101])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_prevalence_is_point_mass(self, p, n):
+        # n = 100 is the last size with a rational channel, n = 101 the
+        # first on the float path
+        m = iid_model(n, p)
+        k_pos = n if p == 1.0 else 0
+        assert m.alpha.tolist() == point_mass(n, k_pos).alpha.tolist()
+        if n <= 100:
+            binomial = tuple(
+                math.comb(n, k) * Fraction(p) ** k * Fraction(1 - p) ** (n - k)
+                for k in range(n + 1)
+            )
+            assert m._exact == binomial
+            assert all(isinstance(x, Fraction) for x in m._exact)
+        else:
+            assert m._exact is None
+        q = q_from_alpha(m).q.tolist()
+        assert q == ([1.0] * (n + 1) if p == 0.0 else [1.0] + [0.0] * n)
 
     def test_fair_coin_n2(self):
         assert_allclose(iid_model(2, 0.5).alpha, [0.25, 0.5, 0.25], rtol=1e-15)

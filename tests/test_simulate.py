@@ -25,6 +25,7 @@ from poolpart import (
     run_dorfman,
     sample_outcome,
     substream,
+    summarize_totals,
 )
 
 
@@ -201,18 +202,28 @@ class TestEmpiricalEvaluate:
         mu = MultiplicityFunction(4, {2: 2})
         batches = [np.array([0, 0, 0, 0]), np.array([1, 1, 0, 1])]
         agg = empirical_evaluate(batches, mu, False, 1, 0)
-        per = empirical_evaluate(batches, mu, False, 1, 0, per_batch=True)
         assert agg.mean_tests == 4.0
         assert agg.mean_efficiency == 1.0
-        assert per.mean_efficiency == (4.0 / 2.0 + 4.0 / 6.0) / 2.0
 
-    def test_trial_totals_match_summary(self):
+    @pytest.mark.parametrize("randomize, trials", [(True, 50), (False, 1)])
+    def test_trial_totals_match_summary(self, randomize, trials):
         batches = sampled_batches(iid_model(40, 0.08), 9, 31)
         mu = MultiplicityFunction(40, {5: 8})
-        totals = empirical_trial_totals(batches, mu, True, 50, 4)
-        s = empirical_evaluate(batches, mu, True, 50, 4)
-        assert totals.shape == (50,)
+        totals = empirical_trial_totals(batches, mu, randomize, 50, 4)
+        s = empirical_evaluate(batches, mu, randomize, 50, 4)
+        assert totals.shape == (trials,)
         assert s.mean_tests == float((totals / 9).mean())
+        assert s == summarize_totals(totals, 40, len(batches))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("replay", [empirical_evaluate, empirical_trial_totals])
+    def test_out_of_range_seed_rejected_on_constant_cohort(self, replay, seed):
+        # constant batches draw no keys, so the seed is checked up front
+        batches = [np.zeros(4, dtype=np.uint8), np.ones(4, dtype=np.uint8)]
+        mu = MultiplicityFunction(4, {2: 2})
+        with pytest.raises(ValidationError, match="seed"):
+            replay(batches, mu, True, 5, seed)
+        replay(batches, mu, False, 5, seed)  # stored order uses no seed
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -262,7 +273,7 @@ class TestBlockKernel:
             return (
                 mc_trial_totals(m, f, 300, 62),
                 empirical_trial_totals(batches, mu, True, 300, 63),
-                empirical_evaluate(batches, mu, True, 300, 63, per_batch=True),
+                empirical_evaluate(batches, mu, True, 300, 63),
             )
 
         default = run_all()
@@ -285,11 +296,11 @@ class TestBlockKernel:
         batches = [np.zeros(20, dtype=np.uint8)] * 3 + [np.ones(20, dtype=np.uint8)] * 2
         mu = MultiplicityFunction(20, {4: 5})
         totals = empirical_trial_totals(batches, mu, True, 40, 5)
-        per = empirical_evaluate(batches, mu, True, 40, 5, per_batch=True)
+        s = empirical_evaluate(batches, mu, True, 40, 5)
         assert calls == []
         assert np.all(totals == 3 * 5 + 2 * 25)
-        assert math.isclose(per.mean_efficiency, (3 * 20 / 5 + 2 * 20 / 25) / 5, rel_tol=1e-15)
-        assert per.std_error == per.efficiency_std_error == 0.0
+        assert math.isclose(s.mean_efficiency, 5 * 20 / 65, rel_tol=1e-15)
+        assert s.std_error == s.efficiency_std_error == 0.0
 
     def test_mc_matches_documented_layout_on_uncovering_family(self):
         # interleaved groups, a singleton, and specimens 1 and 7 in no group
