@@ -137,13 +137,12 @@ def cost_vector(qc: QCurve, max_size: Optional[int] = None) -> CostVector:
 
 
 def expected_tests_partition(cv: CostVector, f: GroupFamily) -> float:
-    for g in f.groups:
-        if len(g) > cv.max_size:
-            raise ValidationError(
-                f"group of size {len(g)} exceeds cost vector range 1..{cv.max_size}"
-            )
+    sizes = np.diff(f.starts, append=f.covered)
+    big = sizes[sizes > cv.max_size]
+    if big.size:
+        raise ValidationError(f"group of size {big[0]} exceeds cost vector range 1..{cv.max_size}")
     # fsum rounds the exact sum once, so the total is order-independent
-    return math.fsum(float(cv.c[len(g)]) for g in f.groups)
+    return math.fsum(cv.c[sizes].tolist())
 
 
 def efficiency(n: int, expected_tests: float) -> float:

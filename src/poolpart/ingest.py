@@ -22,11 +22,10 @@ order mark is skipped.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -92,7 +91,7 @@ class Batch:
         return int(self.statuses.shape[0])
 
 
-def _parse_timestamp(text: str, line: int) -> Optional[datetime]:
+def _parse_timestamp(text: str) -> Optional[datetime]:
     text = text.strip()
     if not text:
         return None
@@ -100,52 +99,51 @@ def _parse_timestamp(text: str, line: int) -> Optional[datetime]:
         # fromisoformat on 3.10 rejects a trailing Z; normalize it
         return datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError as e:
-        raise ValidationError(f"line {line}: bad timestamp {text!r}: {e}") from e
+        raise ValidationError(f"bad timestamp {text!r}: {e}") from e
 
 
-@contextlib.contextmanager
-def _open_csv(path):
-    """Open a UTF-8 CSV for reading, skipping a byte order mark; bytes that
-    are not UTF-8 raise ValidationError."""
+def _table(path, columns: Sequence[str]) -> Iterator[Tuple[int, Dict[str, str]]]:
+    """Yield (line number, row) for each record of a UTF-8 CSV whose header
+    holds `columns`.  A byte order mark is skipped, a short row reads its
+    missing fields as empty, and bytes that are not UTF-8 raise
+    ValidationError."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
-            yield fh
+            reader = csv.DictReader(fh, restval="")
+            header = reader.fieldnames or []
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ValidationError(f"{path}: missing column(s) {missing}; header is {header}")
+            for row in reader:
+                yield reader.line_num, row
         except UnicodeDecodeError as e:
             raise ValidationError(f"{path}: not UTF-8 text: {e}") from e
 
 
 def parse_pools(path) -> List[PoolRecord]:
     """Read pool records, failing loudly with line numbers on bad rows."""
-    with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in _POOL_COLUMNS if c not in header]
-        if missing:
-            raise ValidationError(f"{path}: missing column(s) {missing}; header is {header}")
-        records = []
-        problems = []
-        for row in reader:
-            line = reader.line_num
+    records = []
+    problems = []
+    for line, row in _table(path, _POOL_COLUMNS):
+        try:
             try:
-                try:
-                    size = int(row["pool_size"])
-                except ValueError:
-                    raise ValidationError(f"bad pool_size {row['pool_size']!r}")
-                records.append(
-                    PoolRecord(
-                        pool_id=row["pool_id"],
-                        run_timestamp=_parse_timestamp(row["run_timestamp"] or "", line),
-                        pool_size=size,
-                        statuses=(row["statuses"] or "").strip(),
-                    )
+                size = int(row["pool_size"])
+            except ValueError:
+                raise ValidationError(f"bad pool_size {row['pool_size']!r}")
+            records.append(
+                PoolRecord(
+                    pool_id=row["pool_id"],
+                    run_timestamp=_parse_timestamp(row["run_timestamp"]),
+                    pool_size=size,
+                    statuses=row["statuses"].strip(),
                 )
-            except ValidationError as e:
-                msg = str(e)
-                problems.append(msg if msg.startswith("line ") else f"line {line}: {msg}")
-        if problems:
-            raise ValidationError(
-                f"{path}: {len(problems)} malformed row(s):\n  " + "\n  ".join(problems)
             )
+        except ValidationError as e:
+            problems.append(f"line {line}: {e}")
+    if problems:
+        raise ValidationError(
+            f"{path}: {len(problems)} malformed row(s):\n  " + "\n  ".join(problems)
+        )
     return records
 
 
@@ -237,27 +235,20 @@ def write_batches(path, batches: Sequence[Batch]) -> None:
 
 
 def read_batches(path) -> List[Batch]:
-    with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in _BATCH_COLUMNS if c not in header]
-        if missing:
-            raise ValidationError(f"{path}: missing column(s) {missing}; header is {header}")
-        batches = []
-        for row in reader:
-            line = reader.line_num
-            tokens = (row["statuses"] or "").strip()
-            bad = set(tokens) - {NEGATIVE, POSITIVE}
-            if bad:
-                raise ValidationError(f"{path}: line {line}: unknown status token(s) {sorted(bad)}")
-            if not tokens:
-                raise ValidationError(f"{path}: line {line}: empty statuses")
-            try:
-                idx = int(row["batch_index"])
-            except ValueError as e:
-                raise ValidationError(
-                    f"{path}: line {line}: bad batch_index {row['batch_index']!r}"
-                ) from e
-            values = np.fromiter((tok == POSITIVE for tok in tokens), dtype=np.uint8)
-            batches.append(Batch(idx, values))
+    batches = []
+    for line, row in _table(path, _BATCH_COLUMNS):
+        tokens = row["statuses"].strip()
+        bad = set(tokens) - {NEGATIVE, POSITIVE}
+        if bad:
+            raise ValidationError(f"{path}: line {line}: unknown status token(s) {sorted(bad)}")
+        if not tokens:
+            raise ValidationError(f"{path}: line {line}: empty statuses")
+        try:
+            idx = int(row["batch_index"])
+        except ValueError as e:
+            raise ValidationError(
+                f"{path}: line {line}: bad batch_index {row['batch_index']!r}"
+            ) from e
+        values = np.fromiter((tok == POSITIVE for tok in tokens), dtype=np.uint8)
+        batches.append(Batch(idx, values))
     return batches

@@ -17,14 +17,15 @@ Conversions carry exact rational values alongside the float64 vectors
 whenever n <= _EXACT_LIMIT.  The q -> w recursion subtracts near-equal
 quantities and amplifies rounding in q by roughly 2**n, so float arithmetic
 alone cannot round-trip alpha -> q -> w -> alpha at large n; the rational
-channel makes the round trip exact.  The exact q -> w inversion runs on
-integer numerators over one common denominator and rounds each w[k] once.
+channel makes the round trip exact.  The q -> w recursion runs on integer
+numerators over one common denominator and rounds each w[k] once; a curve
+without the channel is read as the exact dyadic rationals its floats are.
 The exact alpha -> q sum still adds Fractions: an integer sum would speed
 `report` several-fold, and that waits until the benchmark's memory reading
 no longer grows with the number of ops it completes (ROADMAP item 1).
 Without the channel, alpha -> q is an O(n**2) float recurrence on binomial
-ratios in [0, 1] (relative error below (2h + 2) * 2**-53 at group size h),
-the remaining conversions use compensated summation, and every product or
+ratios in [0, 1] (relative error below (2h + 2) * 2**-53 at group size h);
+every other conversion is exact up to one final rounding, and a product or
 quotient with a binomial coefficient is rounded once from the exact
 integers, so C(n, k) beyond the float range (n >= 1030) does not overflow.
 
@@ -328,46 +329,36 @@ def w_from_q(qc: QCurve) -> OutcomeWeights:
     forces sum_k C(n,k) w[k] = q[0] = 1; drift beyond 1e-9 after clamping
     is likewise an error, drift in (1e-12, 1e-9] is renormalized away.
 
-    With the rational channel the recursion runs on Python integers: every
-    q[h] is put over one common denominator L = lcm of the denominators, the
-    numerators W[k] follow the recursion exactly (coefficients from a
+    The recursion runs on Python integers, over the rational channel or,
+    without one, over the exact dyadic rationals the floats of q are: every
+    q[h] is put over one common denominator L = lcm of the denominators,
+    the numerators W[k] follow the recursion exactly (coefficients from a
     running Pascal row, zero terms skipped), and each float is rounded once
-    as W[k] / L, which is correctly rounded and equals float(Fraction(W[k],
-    L)).  The channel returned is Fraction(W[k], L), so floats and rationals
-    match the Fraction recursion bit for bit.
+    as W[k] / L, which equals float(Fraction(W[k], L)).  With a channel the
+    result carries Fraction(W[k], L), so it matches the Fraction recursion
+    bit for bit.
 
     Rounding in a float q is amplified by roughly 2**n here.  Curves
     produced by q_from_alpha carry exact rationals and invert exactly;
     float-only curves are trustworthy only at small n.  When a float-only
     curve reconstructs a negative w[k] that rounding of that size could
-    explain, the error says so.  A float recursion that leaves the float
-    range raises ValidationError.
+    explain, the error says so.  A W[k] / L that nears the float range
+    raises ValidationError.
     """
     n = qc.n
-    if qc._exact is not None:
-        qx = qc._exact
-        den = math.lcm(*(x.denominator for x in qx))
-        qi = [x.numerator * (den // x.denominator) for x in qx]
-        wi = [qi[n]]
-        row = [1]  # C(k, i), i = 0..k
-        for k in range(1, n + 1):
-            row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
-            wi.append(qi[n - k] - sum(c * x for c, x in zip(row, wi) if x))
-        w = np.array([x / den for x in wi])
-        exact: ExactVec = tuple(Fraction(x, den) for x in wi)
-    else:
-        wl = []
-        try:
-            for k in range(n + 1):
-                terms = [float(qc.q[n - k])]
-                terms.extend(-_scaled(wl[i], math.comb(k, i)) for i in range(k) if wl[i])
-                wl.append(math.fsum(terms))
-        except (OverflowError, ValidationError) as e:
-            raise ValidationError(
-                f"float q -> w recursion leaves the float range at w[{len(wl)}] (n = {n})"
-            ) from e
-        w = np.array(wl)
-        exact = None
+    qx = qc._exact if qc._exact is not None else tuple(map(Fraction, qc.q.tolist()))
+    den = math.lcm(*(x.denominator for x in qx))
+    qi = [x.numerator * (den // x.denominator) for x in qx]
+    wi = [qi[n]]
+    row = [1]  # C(k, i), i = 0..k
+    for k in range(1, n + 1):
+        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
+        wi.append(qi[n - k] - sum(c * x for c, x in zip(row, wi) if x))
+        # below this bound |W[k] / L| < 2**1023, so the float division cannot overflow
+        if wi[k].bit_length() - den.bit_length() > 1022:
+            raise ValidationError(f"q -> w recursion leaves the float range at w[{k}] (n = {n})")
+    w = np.array([x / den for x in wi])
+    exact: ExactVec = None if qc._exact is None else tuple(Fraction(x, den) for x in wi)
 
     bad = [(k, v) for k, v in enumerate(w) if v < _NEG_W_TOL]
     if bad:
@@ -376,8 +367,8 @@ def w_from_q(qc: QCurve) -> OutcomeWeights:
         # rounding in a float q (2**-53) amplified by 2**n can reach 2**(n - 53)
         if exact is None and math.log2(-v) < n - 53:
             note = (
-                f"; without a rational channel the float recursion amplifies rounding "
-                f"in q by about 2**{n}, so at n = {n} this may be rounding, not an invalid q"
+                f"; without a rational channel the recursion amplifies rounding in a float "
+                f"q by about 2**{n}, so at n = {n} this may be rounding, not an invalid q"
             )
         raise ValidationError(
             f"q is not a valid symmetric representation: reconstructed w[{k}] = {float(v)!r} "
@@ -446,8 +437,8 @@ def marginal_zero_bruteforce(m: SymmetricModel, h: int) -> float:
 
 
 def check_uint64(name: str, v) -> None:
-    """Seeds and stream labels are integers in [0, 2**64)."""
-    if not 0 <= int(v) < 2**64:
+    """Seeds and stream labels are non-boolean integers in [0, 2**64)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not 0 <= int(v) < 2**64:
         raise ValidationError(f"{name} must be a uint64, got {v!r}")
 
 
@@ -460,7 +451,8 @@ def substream(seed: int, lane: int = 0, draw: int = 0) -> np.random.Generator:
     """
     for name, v in (("seed", seed), ("lane", lane), ("draw", draw)):
         check_uint64(name, v)
-    bg = np.random.Philox(key=int(seed), counter=[0, 0, int(lane), int(draw)])
+    # uint64, since a list holding a label >= 2**63 would be read as float64
+    bg = np.random.Philox(key=int(seed), counter=np.array([0, 0, lane, draw], dtype=np.uint64))
     return np.random.Generator(bg)
 
 
@@ -471,7 +463,7 @@ def sample_outcome(
     k-subset of positions goes positive.  Accepts an integer master seed or
     a Generator (e.g. from `substream`) for use inside Monte Carlo loops.
     """
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else substream(int(rng_seed))
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else substream(rng_seed)
     k = int(rng.choice(m.n + 1, p=m.alpha))
     x = np.zeros(m.n, dtype=np.uint8)
     if k == m.n:

@@ -117,6 +117,11 @@ class TestPartitionCost:
         cv = CostVector(4, np.array([np.nan, 1.0, 1.5]))
         with pytest.raises(ValidationError):
             expected_tests_partition(cv, GroupFamily(((0, 1, 2),)))
+        # the first oversize group in group order is the one named
+        pools = GroupFamily(((0, 1), (2, 3, 4, 5), (6, 7, 8)))
+        cv = CostVector(9, np.array([np.nan, 1.0, 1.5]))
+        with pytest.raises(ValidationError, match=r"^group of size 4 exceeds .* range 1\.\.2$"):
+            expected_tests_partition(cv, pools)
 
     def test_permutation_invariance_is_exact(self):
         # same multiset of sizes must give the identical float total

@@ -76,6 +76,28 @@ class TestParsePools:
         msg = str(err.value)
         assert "line 3" in msg and "line 4" in msg
 
+    def test_every_row_error_has_one_line_prefix(self, tmp_path):
+        path = tmp_path / "pools.csv"
+        path.write_text(
+            "pool_id,run_timestamp,pool_size,statuses\n"
+            "t,yesterday,2,NN\n"
+            "s,2020-01-01T00:00:00,two,NN\n"
+        )
+        with pytest.raises(ValidationError) as err:
+            parse_pools(path)
+        lines = str(err.value).split("\n  ")
+        assert lines[0] == f"{path}: 2 malformed row(s):"
+        assert lines[1].startswith("line 2: bad timestamp 'yesterday': ")
+        assert lines[2] == "line 3: bad pool_size 'two'"
+
+    def test_short_row_is_a_row_error(self, tmp_path):
+        # a row missing pool_size once raised TypeError from int(None)
+        path = tmp_path / "pools.csv"
+        path.write_text("pool_id,run_timestamp,pool_size,statuses\na,2020-01-01T00:00:00\n")
+        with pytest.raises(ValidationError) as err:
+            parse_pools(path)
+        assert str(err.value) == f"{path}: 1 malformed row(s):\n  line 2: bad pool_size ''"
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             parse_pools(tmp_path / "absent.csv")
@@ -211,6 +233,13 @@ class TestBatchCsv:
         path.write_text("batch_index,statuses\n0,NPI\n")
         with pytest.raises(ValidationError):
             read_batches(path)
+
+    def test_short_row_has_empty_statuses(self, tmp_path):
+        path = tmp_path / "batches.csv"
+        path.write_text("batch_index,statuses\n0,NP\n1\n")
+        with pytest.raises(ValidationError) as err:
+            read_batches(path)
+        assert str(err.value) == f"{path}: line 3: empty statuses"
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "batches.csv"

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -268,6 +269,20 @@ class TestSampling:
         with pytest.raises(ValidationError):
             substream(0, lane=2**64)
 
+    @pytest.mark.parametrize("label", ["lane", "draw"])
+    def test_stream_labels_are_non_boolean_integers(self, label):
+        for bad in (2.0, "2", True):
+            with pytest.raises(ValidationError, match=f"^{label} must be a uint64"):
+                substream(0, **{label: bad})
+        same = [substream(0, **{label: v}).random() for v in (np.uint64(2), 2)]
+        assert same[0] == same[1]
+
+    def test_labels_above_2_63_do_not_collide(self):
+        # labels >= 2**63 once passed through float64: 2**64 - 1 ran as stream (0, 0)
+        labels = [(0, 0), (2**63 + 5, 2**63 - 1), (2**64 - 1, 2**64 - 1), (2**64 - 2, 0)]
+        draws = {substream(11, lane, draw).random() for lane, draw in labels}
+        assert len(draws) == len(labels)
+
 
 class TestValidationAndTypes:
     def test_alpha_must_normalize(self):
@@ -463,6 +478,32 @@ class TestExactWFromQOracle:
     @pytest.mark.parametrize("family", ["iid", "beta-binomial", "random"])
     def test_models(self, family, n):
         self.assert_matches_reference(exact_model_and_q(family, n)[1])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 30])
+    @pytest.mark.parametrize("family", ["iid", "beta-binomial", "random"])
+    def test_float_only_curves_invert_their_dyadic_values(self, family, n):
+        # a float q is read as the exact rationals its entries are; the
+        # Fraction recursion's floats then go through the documented clamp,
+        # renormalization and rejection rules (which 3 of these 15 reach)
+        qc = QCurve(n, exact_model_and_q(family, n)[1].q.copy())
+        ref = fraction_w_from_q([Fraction(float(x)) for x in qc.q], n)
+        want = np.array([float(x) for x in ref])
+        if want.min() < -1e-9:
+            k = int(np.argmax(want < -1e-9))
+            with pytest.raises(ValidationError, match=re.escape(f"w[{k}] = {float(want[k])!r} <")):
+                w_from_q(qc)
+            return
+        want = np.maximum(want, 0.0)
+        total = math.fsum(float(math.comb(n, k) * Fraction(x)) for k, x in enumerate(want))
+        if abs(total - 1.0) > 1e-9:
+            with pytest.raises(ValidationError, match=f"^q does not normalize: .* = {total!r} "):
+                w_from_q(qc)
+            return
+        if abs(total - 1.0) > 1e-12:
+            want = want / total
+        ow = w_from_q(qc)
+        assert ow.w.tobytes() == want.tobytes()
+        assert ow._exact is None
 
     def test_non_dyadic_denominators(self):
         # w with thirds and sevenths; q[h] = sum_k C(n-h,k) w[k]

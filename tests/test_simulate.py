@@ -225,6 +225,20 @@ class TestEmpiricalEvaluate:
             replay(batches, mu, True, 5, seed)
         replay(batches, mu, False, 5, seed)  # stored order uses no seed
 
+    @pytest.mark.parametrize("seed", [1.5, "x", True])
+    def test_non_integer_seed_rejected_everywhere(self, seed):
+        # 1.5 used to run as seed 1, True as seed 1, "x" as a bare ValueError
+        m = iid_model(4, 0.3)
+        batches = [np.array([0, 1, 0, 0]), np.array([1, 1, 0, 0])]
+        for draw in (
+            lambda: substream(seed),
+            lambda: monte_carlo(m, blocks(4, 2), 5, seed),
+            lambda: empirical_evaluate(batches, MultiplicityFunction(4, {2: 2}), True, 5, seed),
+            lambda: sample_outcome(m, seed),
+        ):
+            with pytest.raises(ValidationError, match=f"^seed must be a uint64, got {seed!r}$"):
+                draw()
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             empirical_evaluate(
