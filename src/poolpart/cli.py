@@ -31,11 +31,11 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .cost import cost_vector, efficiency, expected_tests_group, expected_tests_partition
+from .cost import cost_vector, efficiency, expected_tests_partition
 from .errors import InfeasibleError, PoolPartError, ValidationError
 from .estimate import fit_iid, fit_symmetric
 from .ingest import filter_pools, impute_batches, parse_pools, read_batches, write_batches
-from .model import SymmetricModel, check_uint64, iid_model, prevalence, q_from_alpha
+from .model import SymmetricModel, check_int, check_uint64, iid_model, prevalence, q_from_alpha
 from .optimize import (
     MultiplicityFunction,
     dorfman_infinite_size,
@@ -146,9 +146,9 @@ def strategy_multiplicity(
     """
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    cap = batch_size if max_pool is None else min(int(max_pool), batch_size)
-    if cap < 1:
-        raise ValidationError(f"max pool size must be >= 1, got {max_pool!r}")
+    cap = check_int("batch size", batch_size)
+    if max_pool is not None:
+        cap = min(check_int("max pool size", max_pool), cap)
     if strategy == "team8":
         return _blocks(batch_size, min(8, cap))
     if strategy == "dorfman":
@@ -239,6 +239,7 @@ def emit_model_analysis(m_iid: SymmetricModel, m_sym: SymmetricModel, out_dir) -
     n = m_iid.n
     os.makedirs(out_dir, exist_ok=True)
     q_iid, q_sym = q_from_alpha(m_iid), q_from_alpha(m_sym)
+    u_iid, u_sym = (cost_vector(qc).c[1:].tolist() for qc in (q_iid, q_sym))
     series = {
         "alpha.csv": (
             ("k", "iid", "symmetric"),
@@ -250,10 +251,7 @@ def emit_model_analysis(m_iid: SymmetricModel, m_sym: SymmetricModel, out_dir) -
         ),
         "u.csv": (
             ("h", "iid", "symmetric"),
-            [
-                (h, expected_tests_group(q_iid, h), expected_tests_group(q_sym, h))
-                for h in range(1, n + 1)
-            ],
+            list(zip(range(1, n + 1), u_iid, u_sym)),
         ),
     }
     paths = []
@@ -308,14 +306,12 @@ def _load_multiplicity(path) -> MultiplicityFunction:
         doc = doc["multiplicity"]
     if not isinstance(doc, dict) or not doc:
         raise ValidationError(f"{path}: expected a nonempty size->count object")
-    for i, m in doc.items():
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-            raise ValidationError(f"{path}: count for size {i} must be an integer, got {m!r}")
     try:
         counts = {int(i): m for i, m in doc.items()}
     except (TypeError, ValueError) as e:
         raise ValidationError(f"{path}: bad multiplicity entry: {e}") from e
-    target = sum(i * m for i, m in counts.items())
+    # a count that is not an integer adds nothing here; MultiplicityFunction rejects it
+    target = sum(i * m for i, m in counts.items() if isinstance(m, numbers.Integral))
     return MultiplicityFunction(target, counts)
 
 

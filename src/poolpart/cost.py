@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import QCurve, check_n
+from .model import QCurve, check_int, check_n
 
 __all__ = [
     "CostVector",
@@ -29,6 +29,8 @@ __all__ = [
     "expected_tests_partition",
     "efficiency",
 ]
+
+_MAX_INDEX = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +44,7 @@ class CostVector:
     c: np.ndarray
 
     def __post_init__(self):
-        check_n(self.n)
+        object.__setattr__(self, "n", check_n(self.n))
         v = np.asarray(self.c, dtype=float).copy()
         if v.ndim != 1 or v.shape[0] < 2 or v.shape[0] > self.n + 1:
             raise ValidationError(
@@ -87,8 +89,10 @@ class GroupFamily:
             if not g:
                 raise ValidationError("groups must be nonempty")
             for i in g:
-                if i < 0:
-                    raise ValidationError(f"specimen indices must be >= 0, got {i}")
+                if not 0 <= i <= _MAX_INDEX:
+                    raise ValidationError(
+                        f"specimen indices must lie in [0, {_MAX_INDEX}], got {i}"
+                    )
                 if i in seen:
                     raise ValidationError(f"groups must be pairwise disjoint; index {i} repeats")
                 seen.add(i)
@@ -127,8 +131,8 @@ def expected_tests_group(qc: QCurve, h: int) -> float:
 
 
 def cost_vector(qc: QCurve, max_size: Optional[int] = None) -> CostVector:
-    m = qc.n if max_size is None else max_size
-    if not 1 <= m <= qc.n:
+    m = qc.n if max_size is None else check_int("max_size", max_size)
+    if m > qc.n:
         raise ValidationError(f"max_size must lie in [1, {qc.n}], got {max_size!r}")
     # expected_tests_group for every size at once; CostVector pads c[0]
     c = 1.0 + np.arange(m + 1) * (1.0 - qc.q[: m + 1])

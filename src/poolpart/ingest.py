@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .model import binary_vector
+from .model import binary_vector, check_int
 
 __all__ = [
     "PoolRecord",
@@ -194,8 +194,7 @@ def impute_batches(
     Returns the batches and the size of the discarded trailing remainder.
     Every record must carry a timestamp (run filter_pools first).
     """
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = check_int("batch_size", batch_size)
     for r in records:
         if r.run_timestamp is None:
             raise ValidationError(

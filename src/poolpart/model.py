@@ -24,10 +24,10 @@ The exact alpha -> q sum still adds Fractions: an integer sum would speed
 `report` several-fold, and that waits until the benchmark's memory reading
 no longer grows with the number of ops it completes (ROADMAP item 1).
 Without the channel, alpha -> q is an O(n**2) float recurrence on binomial
-ratios in [0, 1] (relative error below (2h + 2) * 2**-53 at group size h);
-every other conversion is exact up to one final rounding, and a product or
-quotient with a binomial coefficient is rounded once from the exact
-integers, so C(n, k) beyond the float range (n >= 1030) does not overflow.
+ratios in [0, 1] (relative error below (2h + 2) * 2**-53 at group size h).
+Every other conversion reads exact rationals (the channel, else the dyadic
+values of the floats) and rounds each result once, so C(n, k) beyond the
+float range (n >= 1030) does not overflow; a result beyond it raises.
 
 All values are immutable after construction and safe to share across
 threads.  Sampling takes an explicit seed or generator and keeps no hidden
@@ -72,36 +72,49 @@ _NEG_W_TOL = -1e-9
 ExactVec = Optional[tuple]  # tuple[Fraction, ...] when present
 
 
-def check_n(n) -> None:
+def _is_int(v) -> bool:
+    """A Python or numpy integer that is not a boolean."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_int(name: str, v, low: int = 1) -> int:
+    """Sizes, counts and trial numbers: a non-boolean integer >= low, as int."""
+    if not _is_int(v) or v < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
+    return int(v)
+
+
+def check_n(n) -> int:
     """Population sizes are integers >= 1."""
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"population size must be an integer >= 1, got {n!r}")
+    return check_int("population size", n)
 
 
-def _checked_vector(n, v, name: str) -> np.ndarray:
-    """Check n, then return v as a read-only float copy of length n + 1 with
-    finite entries."""
-    check_n(n)
-    out = np.asarray(v, dtype=float).copy()
+def _checked_vector(obj, name: str) -> np.ndarray:
+    """Store obj.n as a checked int and obj.<name> as a read-only float copy
+    of length n + 1 with finite entries; return that copy."""
+    n = check_n(obj.n)
+    object.__setattr__(obj, "n", n)
+    out = np.asarray(getattr(obj, name), dtype=float).copy()
     if out.ndim != 1 or out.shape[0] != n + 1:
         raise ValidationError(f"{name} must have length n+1 = {n + 1}, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise ValidationError(f"{name} contains non-finite entries")
     out.setflags(write=False)
+    object.__setattr__(obj, name, out)
     return out
 
 
-def _scaled(x: float, num: int, den: int = 1) -> float:
-    """x * num / den rounded once from the exact rational, for integers
-    (binomial coefficients) that may lie beyond the float range."""
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    p, d = x.as_integer_ratio()
+def _rationals(exact: ExactVec, v: np.ndarray):
+    """The rational channel if there is one, else the dyadic values of v."""
+    return exact if exact is not None else tuple(map(Fraction, v.tolist()))
+
+
+def _rounded(xs, name: str) -> list:
+    """Each exact rational in xs rounded once to a float."""
     try:
-        return (p * num) / (d * den)
+        return [float(x) for x in xs]
     except OverflowError as e:
-        raise ValidationError(f"{x!r} times a binomial coefficient exceeds the float range") from e
+        raise ValidationError(f"{name} leaves the float range: {e}") from e
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +126,12 @@ class SymmetricModel:
     _exact: ExactVec = field(default=None, repr=False)
 
     def __post_init__(self):
-        a = _checked_vector(self.n, self.alpha, "alpha")
+        a = _checked_vector(self, "alpha")
         if np.any(a < 0.0) or np.any(a > 1.0):
             raise ValidationError("alpha entries must lie in [0, 1]")
         total = math.fsum(a.tolist())
         if abs(total - 1.0) > _NORM_TOL:
             raise ValidationError(f"alpha must sum to 1 within {_NORM_TOL}, got {total!r}")
-        object.__setattr__(self, "alpha", a)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "alpha": [float(x) for x in self.alpha]}
@@ -156,7 +168,7 @@ class QCurve:
     _exact: ExactVec = field(default=None, repr=False)
 
     def __post_init__(self):
-        v = _checked_vector(self.n, self.q, "q")
+        v = _checked_vector(self, "q")
         if v[0] != 1.0:
             raise ValidationError(f"q[0] must equal 1 exactly, got {v[0]!r}")
         if np.any(v < 0.0) or np.any(v > 1.0):
@@ -164,7 +176,6 @@ class QCurve:
         # allow one ulp of float slack on the monotonicity check
         if np.any(np.diff(v) > 1e-12):
             raise ValidationError("q must be nonincreasing in group size")
-        object.__setattr__(self, "q", v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +187,7 @@ class OutcomeWeights:
     _exact: ExactVec = field(default=None, repr=False)
 
     def __post_init__(self):
-        v = _checked_vector(self.n, self.w, "w")
+        v = _checked_vector(self, "w")
         if np.any(v < 0.0):
             raise ValidationError("w entries must be nonnegative")
         total = _outcome_mass(self.n, v)
@@ -184,7 +195,6 @@ class OutcomeWeights:
             raise ValidationError(
                 f"sum of C(n,k)*w[k] must be 1 within {_NORM_TOL}, got {total!r}"
             )
-        object.__setattr__(self, "w", v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,35 +248,29 @@ def status_matrix(batches: Sequence, size: Optional[int] = None) -> np.ndarray:
 
 def _outcome_mass(n: int, w: np.ndarray) -> float:
     """sum_k C(n,k) w[k], each term rounded once."""
-    return math.fsum(_scaled(w[k], math.comb(n, k)) for k in range(n + 1))
+    terms = (math.comb(n, k) * Fraction(x) for k, x in enumerate(w.tolist()))
+    return math.fsum(_rounded(terms, f"C(n,k)*w[k] at n = {n}"))
 
 
 def _exact_alpha(m: SymmetricModel) -> ExactVec:
-    if m._exact is not None:
-        return m._exact
-    if m.n <= _EXACT_LIMIT:
-        return tuple(Fraction(float(a)) for a in m.alpha)
-    return None
+    if m._exact is None and m.n <= _EXACT_LIMIT:
+        return tuple(map(Fraction, m.alpha.tolist()))
+    return m._exact
 
 
 def iid_model(n: int, prevalence: float) -> SymmetricModel:
     """Binomial-count model: each specimen independently positive with the
     given prevalence.  alpha[k] = C(n,k) p^k (1-p)^(n-k), so q[h] = (1-p)^h.
     """
-    check_n(n)
+    n = check_n(n)
     p = float(prevalence)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"prevalence must lie in [0, 1], got {p!r}")
-    if n <= _EXACT_LIMIT:
+    if n <= _EXACT_LIMIT or p in (0.0, 1.0):  # log space below would take log(0)
         pf = Fraction(p)
-        qf = 1 - pf
-        exact = tuple(math.comb(n, k) * pf**k * qf ** (n - k) for k in range(n + 1))
-        alpha = np.array([float(x) for x in exact])
-        return SymmetricModel(n, alpha, _exact=exact)
-    if p == 0.0 or p == 1.0:  # the log-space pmf below would take log(0)
-        alpha = np.zeros(n + 1)
-        alpha[n if p == 1.0 else 0] = 1.0
-        return SymmetricModel(n, alpha)
+        exact = tuple(math.comb(n, k) * pf**k * (1 - pf) ** (n - k) for k in range(n + 1))
+        channel = exact if n <= _EXACT_LIMIT else None
+        return SymmetricModel(n, _rounded(exact, "alpha"), _exact=channel)
     # log-space binomial pmf for large n; exponent differences stay modest
     lp, lq = math.log(p), math.log1p(-p)
     logc = [
@@ -304,8 +308,7 @@ def q_from_alpha(m: SymmetricModel) -> QCurve:
                 if exact[k]:
                     acc += exact[k] * Fraction(math.comb(n - h, k), cn[k])
             qx.append(acc)
-        q = np.array([float(x) for x in qx])
-        q[0] = 1.0
+        q = [1.0, *_rounded(qx[1:], "q")]
         return QCurve(n, q, _exact=tuple(qx))
     q = np.empty(n + 1)
     q[0] = 1.0
@@ -346,7 +349,7 @@ def w_from_q(qc: QCurve) -> OutcomeWeights:
     raises ValidationError.
     """
     n = qc.n
-    qx = qc._exact if qc._exact is not None else tuple(map(Fraction, qc.q.tolist()))
+    qx = _rationals(qc._exact, qc.q)
     den = math.lcm(*(x.denominator for x in qx))
     qi = [x.numerator * (den // x.denominator) for x in qx]
     wi = [qi[n]]
@@ -393,30 +396,23 @@ def w_from_q(qc: QCurve) -> OutcomeWeights:
 
 
 def alpha_from_w(ow: OutcomeWeights) -> SymmetricModel:
-    """alpha[k] = C(n,k) w[k]."""
+    """alpha[k] = C(n,k) w[k] from the channel, else the dyadic values of w,
+    rounded once.  The result carries a channel when the input does."""
     n = ow.n
-    if ow._exact is not None:
-        ax = tuple(math.comb(n, k) * ow._exact[k] for k in range(n + 1))
-        return SymmetricModel(n, np.array([float(x) for x in ax]), _exact=ax)
-    alpha = np.array([_scaled(ow.w[k], math.comb(n, k)) for k in range(n + 1)])
-    return SymmetricModel(n, alpha)
+    ax = tuple(math.comb(n, k) * x for k, x in enumerate(_rationals(ow._exact, ow.w)))
+    return SymmetricModel(n, _rounded(ax, "alpha"), _exact=None if ow._exact is None else ax)
 
 
 def w_from_alpha(m: SymmetricModel) -> OutcomeWeights:
-    """w[k] = alpha[k] / C(n,k).
-
-    Without the rational channel each w[k] is rounded once; an alpha whose
+    """w[k] = alpha[k] / C(n,k) from the channel (built from the floats when
+    n <= 100), else the dyadic values of alpha, rounded once.  An alpha whose
     mass sits where w[k] underflows (e.g. near k = n/2 at n >= 1030) has no
-    float per-outcome form and raises ValidationError.
-    """
+    float per-outcome form and raises ValidationError."""
     n = m.n
     exact = _exact_alpha(m)
-    if exact is not None:
-        wx = tuple(exact[k] / math.comb(n, k) for k in range(n + 1))
-        return OutcomeWeights(n, np.array([float(x) for x in wx]), _exact=wx)
-    w = np.array([_scaled(m.alpha[k], 1, math.comb(n, k)) for k in range(n + 1)])
+    wx = tuple(x / math.comb(n, k) for k, x in enumerate(_rationals(exact, m.alpha)))
     try:
-        return OutcomeWeights(n, w)
+        return OutcomeWeights(n, _rounded(wx, "w"), _exact=None if exact is None else wx)
     except ValidationError as e:
         raise ValidationError(f"w underflows float64 at n = {n}: {e}") from e
 
@@ -438,7 +434,7 @@ def marginal_zero_bruteforce(m: SymmetricModel, h: int) -> float:
 
 def check_uint64(name: str, v) -> None:
     """Seeds and stream labels are non-boolean integers in [0, 2**64)."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not 0 <= int(v) < 2**64:
+    if not _is_int(v) or not 0 <= int(v) < 2**64:
         raise ValidationError(f"{name} must be a uint64, got {v!r}")
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .cost import CostVector, GroupFamily
 from .errors import InfeasibleError, ValidationError
+from .model import check_int
 
 __all__ = [
     "MultiplicityFunction",
@@ -48,18 +49,13 @@ class MultiplicityFunction:
 
     def __init__(self, target: int, counts):
         # accept a mapping or pair iterable; store sorted with zeros dropped
-        if isinstance(counts, dict):
-            items = counts.items()
-        else:
-            items = list(counts)
-        cleaned = tuple(sorted((int(i), int(m)) for i, m in items if int(m) != 0))
-        object.__setattr__(self, "target", int(target))
+        items = counts.items() if isinstance(counts, dict) else counts
+        pairs = [
+            (check_int("part size", i), check_int(f"count for size {i}", m, 0)) for i, m in items
+        ]
+        cleaned = tuple(sorted((i, m) for i, m in pairs if m))
+        object.__setattr__(self, "target", check_int("target", target))
         object.__setattr__(self, "counts", cleaned)
-        for i, m in cleaned:
-            if i < 1:
-                raise ValidationError(f"part sizes must be >= 1, got {i}")
-            if m < 0:
-                raise ValidationError(f"multiplicities must be >= 0, got {m} for size {i}")
         total = sum(i * m for i, m in cleaned)
         if total != self.target:
             raise ValidationError(
@@ -114,8 +110,7 @@ def dp_solve(cv: CostVector, target: int) -> Tuple[MultiplicityFunction, ValueTa
     candidate sums M*(k - i) + c(i), the same float additions a scalar
     loop would make, so the table does not depend on the vectorization.
     """
-    if not isinstance(target, int) or target < 1:
-        raise ValidationError(f"target must be an integer >= 1, got {target!r}")
+    target = check_int("target", target)
     c = cv.c
     values = np.zeros(target + 1)
     choices = np.zeros(target + 1, dtype=int)
@@ -152,8 +147,7 @@ def brute_force_solve(cv: CostVector, target: int) -> MultiplicityFunction:
 
     Matches dp_solve's optimal value; the argmin may differ under ties.
     """
-    if not isinstance(target, int) or target < 1:
-        raise ValidationError(f"target must be an integer >= 1, got {target!r}")
+    target = check_int("target", target)
     if target > _BRUTE_FORCE_LIMIT:
         raise ValidationError(
             f"exhaustive enumeration is limited to target <= {_BRUTE_FORCE_LIMIT}, got {target}"
@@ -203,8 +197,7 @@ def dorfman_infinite_size(prevalence: float, s_max: int = 100) -> int:
     p = float(prevalence)
     if not 0.0 < p < 1.0:
         raise ValidationError(f"prevalence must lie strictly in (0, 1), got {p!r}")
-    if not isinstance(s_max, int) or s_max < 2:
-        raise ValidationError(f"s_max must be an integer >= 2, got {s_max!r}")
+    s_max = check_int("s_max", s_max, 2)
     best_s, best_v = 1, 1.0
     for s in range(2, s_max + 1):
         v = 1.0 / s + 1.0 - (1.0 - p) ** s

@@ -45,7 +45,7 @@ import numpy as np
 
 from .cost import GroupFamily
 from .errors import ValidationError
-from .model import OutcomeVector, SymmetricModel, check_uint64, status_matrix, substream
+from .model import OutcomeVector, SymmetricModel, check_int, check_uint64, status_matrix, substream
 from .optimize import MultiplicityFunction, pooling_from_multiplicity
 
 __all__ = [
@@ -160,8 +160,7 @@ def mc_trial_totals(
     keys at or below the row's k_t-th smallest key, from a value sort, with
     the argsort only on an exact tie.  See the module docstring.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    trials = check_int("trials", trials)
     top = int(f.members.max())
     if top >= m.n:
         raise IndexError(f"group member {top} outside population of size {m.n}")
@@ -213,8 +212,7 @@ def empirical_trial_totals(
     """
     if randomize:
         check_uint64("seed", seed)  # constant batches never reach substream
-        if trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {trials}")
+        trials = check_int("trials", trials)
     n = mu.target
     data = status_matrix(batches, n)
     f = pooling_from_multiplicity(mu, range(n))

@@ -7,6 +7,7 @@ from poolpart import (
     InfeasibleError,
     MultiplicityFunction,
     SymmetricModel,
+    ValidationError,
     iid_model,
     emit_model_analysis,
     empirical_evaluate,
@@ -14,6 +15,7 @@ from poolpart import (
     fit_symmetric,
     read_batches,
     sample_outcome,
+    strategy_multiplicity,
     substream,
     write_batches,
 )
@@ -148,6 +150,12 @@ class TestOptimizeCommand:
         assert code == 0
         doc = json.loads(out)
         assert max(int(i) for i in doc["multiplicity"]) <= 6
+
+    def test_max_pool_size_is_an_integer(self):
+        m = iid_model(8, 0.1)
+        with pytest.raises(ValidationError, match="max pool size must be an integer >= 1"):
+            strategy_multiplicity("team8", 8, m, m, max_pool=2.5)
+        assert strategy_multiplicity("team8", 8, m, m, max_pool=np.int64(4)).as_dict() == {4: 2}
 
     def test_float_path_population(self, capsys):
         code, out = run(capsys, "optimize", "--n", "1000", "--prevalence", "0.01")
@@ -389,6 +397,7 @@ class TestMalformedInputs:
             (SIMULATE, json.dumps({"4": 2.5}), "integer"),
             (SIMULATE, json.dumps({"8": 1.9}), "integer"),
             (SIMULATE, json.dumps({"8": True}), "integer"),
+            (SIMULATE, json.dumps({"8": "1"}), "integer"),
             (OPTIMIZE, json.dumps({"n": 1, "alpha": "abc"}), "alpha"),
             (OPTIMIZE, json.dumps({"n": 1, "alpha": {"a": 1}}), "alpha"),
             (REPORT + ["inf"], BATCHES_4, "laplace"),
@@ -407,7 +416,8 @@ class TestMalformedInputs:
             "mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n",
             "non-utf8-pool-csv", "non-utf8-batch-csv", "non-utf8-model-json",
             "fractional-multiplicity-count", "fractional-multiplicity-count-below-2",
-            "boolean-multiplicity-count", "string-model-alpha", "object-model-alpha",
+            "boolean-multiplicity-count", "string-multiplicity-count",
+            "string-model-alpha", "object-model-alpha",
             "infinite-laplace", "nan-laplace", "string-alpha-entries", "boolean-alpha-entries",
             "null-alpha-entry", "alpha-entry-beyond-float-range",
             "negative-report-seed-constant-cohort", "report-seed-beyond-uint64-constant-cohort",

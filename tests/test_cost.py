@@ -69,6 +69,8 @@ class TestCostVector:
         assert cv.max_size == 7
         with pytest.raises(ValidationError):
             cost_vector(iid_curve(20, 0.1), max_size=21)
+        with pytest.raises(ValidationError, match="max_size must be an integer >= 1, got 2.5"):
+            cost_vector(iid_curve(20, 0.1), max_size=2.5)
 
     def test_dominance_bounds(self):
         rng = np.random.default_rng(201)
@@ -183,6 +185,12 @@ class TestGroupFamily:
             GroupFamily(((0, 1), ()))
         with pytest.raises(ValidationError):
             GroupFamily(())
+
+    def test_indices_beyond_intp(self):
+        with pytest.raises(ValidationError, match=r"^specimen indices must lie in \[0, \d+\]"):
+            GroupFamily(((2**70,),))
+        with pytest.raises(ValidationError, match="got -1$"):
+            GroupFamily(((0, -1),))
 
     def test_properties(self):
         f = GroupFamily(((4, 2, 7), (0,), (3, 5)))

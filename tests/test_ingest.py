@@ -186,6 +186,12 @@ class TestImputeBatches:
         batches, _ = impute_batches(records, 2)
         assert [b.source_pools[0] for b in batches] == ["first", "second"]
 
+    def test_batch_size_is_an_integer(self):
+        with pytest.raises(ValidationError, match="batch_size must be an integer >= 1, got 2.5"):
+            impute_batches([rec("a", 0, "NNNN")], 2.5)
+        batches, _ = impute_batches([rec("a", 0, "NNNN")], np.int64(2))
+        assert len(batches) == 2
+
     def test_unfiltered_input_rejected(self):
         with pytest.raises(ValidationError, match="timestamp"):
             impute_batches([rec("x", 0, "NN", ts=False)], 2)

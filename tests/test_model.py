@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import re
 from fractions import Fraction
@@ -24,7 +25,7 @@ from poolpart import (
     w_from_alpha,
     w_from_q,
 )
-from poolpart.model import status_matrix
+from poolpart.model import _outcome_mass, status_matrix
 
 
 def point_mass(n, k):
@@ -418,8 +419,84 @@ class TestLargeNConversions:
             OutcomeWeights(self.N, w)
 
 
+def scaled(x, num, den=1):
+    """x * num / den rounded once from the exact rational: the float path of
+    alpha_from_w, w_from_alpha and the outcome-mass check before every input
+    was read as exact rationals, kept as their reference."""
+    x = float(x)
+    if x == 0.0:
+        return 0.0
+    p, d = x.as_integer_ratio()
+    return (p * num) / (d * den)
+
+
+def representable_dirichlet(n, seed):
+    """Random alpha on the counts k with C(n, k) < 2**900, so that no mass
+    of w = alpha / C(n, k) is lost to underflow."""
+    support = [k for k in range(n + 1) if math.comb(n, k) < 2**900]
+    a = np.zeros(n + 1)
+    a[support] = np.random.default_rng(seed).dirichlet(np.full(len(support), 0.3))
+    return a / math.fsum(a.tolist())
+
+
+class TestOneRoundingFromExactRationals:
+    """Without a channel, the binomial conversions read the floats as the
+    exact rationals they are; each entry must equal `scaled` bit for bit."""
+
+    @pytest.mark.parametrize("n", [101, 150, 500, 1100])
+    def test_float_only_alpha_and_w(self, n):
+        m = SymmetricModel(n, representable_dirichlet(n, n))
+        ow = w_from_alpha(m)
+        want = [scaled(a, 1, math.comb(n, k)) for k, a in enumerate(m.alpha.tolist())]
+        assert ow.w.tobytes() == np.array(want).tobytes()
+        assert ow._exact is None
+        back = alpha_from_w(ow)
+        want = [scaled(x, math.comb(n, k)) for k, x in enumerate(ow.w.tolist())]
+        assert back.alpha.tobytes() == np.array(want).tobytes()
+        assert back._exact is None
+        assert _outcome_mass(n, ow.w) == math.fsum(want)
+
+    @pytest.mark.parametrize("n", [5, 80, 100])
+    def test_float_only_outcome_weights(self, n):
+        w = w_from_alpha(SymmetricModel(n, random_alpha(np.random.default_rng(n), n))).w
+        back = alpha_from_w(OutcomeWeights(n, w))
+        want = [scaled(x, math.comb(n, k)) for k, x in enumerate(w.tolist())]
+        assert back.alpha.tobytes() == np.array(want).tobytes()
+        assert back._exact is None
+
+    @pytest.mark.parametrize("n", [101, 500, 1100])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_prevalence_without_channel(self, p, n):
+        m = iid_model(n, p)
+        assert m.alpha.tolist() == point_mass(n, n if p == 1.0 else 0).alpha.tolist()
+        assert m._exact is None
+
+    def test_mass_beyond_float_range_is_one_line(self):
+        w = np.zeros(1101)
+        w[550] = 1.0
+        with pytest.raises(ValidationError, match="float range") as err:
+            OutcomeWeights(1100, w)
+        assert "\n" not in str(err.value)
+
+
+class TestIntegerSizes:
+    def test_numpy_sizes_are_stored_as_python_ints(self):
+        from poolpart import CostVector
+
+        m = iid_model(np.int64(5), 0.25)
+        assert type(m.n) is int and m._exact is not None
+        back = SymmetricModel.from_dict(json.loads(json.dumps(m.to_dict())))
+        assert back.alpha.tobytes() == m.alpha.tobytes()
+        for v in (
+            QCurve(np.int64(1), [1.0, 0.5]),
+            OutcomeWeights(np.int64(1), [0.5, 0.5]),
+            CostVector(np.int64(2), [np.nan, 1.0, 2.0]),
+        ):
+            assert type(v.n) is int
+
+
 class TestPopulationSizeCheck:
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, "4"])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "4", True])
     def test_same_message_for_every_representation(self, bad):
         from poolpart import CostVector
 

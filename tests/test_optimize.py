@@ -50,6 +50,17 @@ class TestMultiplicityFunction:
         with pytest.raises(ValidationError):
             MultiplicityFunction(1, {1: -1, 2: 1})
 
+    def test_sizes_counts_and_target_are_integers(self):
+        with pytest.raises(ValidationError, match="size 2 must be an integer >= 0, got 2.7"):
+            MultiplicityFunction(4, {2: 2.7})
+        with pytest.raises(ValidationError, match="target must be an integer >= 1, got 4.9"):
+            MultiplicityFunction(4.9, {2: 2})
+        with pytest.raises(ValidationError, match="part size must be an integer >= 1, got 2.0"):
+            MultiplicityFunction(4, {2.0: 2})
+        mu = MultiplicityFunction(np.int64(4), {np.int64(2): np.int64(2)})
+        assert mu == MultiplicityFunction(4, {2: 2})
+        assert {type(v) for v in (mu.target, *mu.counts[0])} == {int}
+
     def test_equality_and_views(self):
         mu = MultiplicityFunction(10, {2: 1, 4: 2})
         assert mu == MultiplicityFunction(10, {4: 2, 2: 1})
@@ -92,6 +103,16 @@ class TestDpSolve:
             dp_solve(flat_costs(4), 0)
         with pytest.raises(ValidationError):
             dp_solve(flat_costs(4), "4")
+
+
+    def test_target_is_a_non_boolean_integer(self):
+        cv = flat_costs(8)
+        for solve in (lambda t: dp_solve(cv, t)[0], lambda t: brute_force_solve(cv, t)):
+            for bad in (True, 8.0):
+                with pytest.raises(ValidationError) as err:
+                    solve(bad)
+                assert str(err.value) == f"target must be an integer >= 1, got {bad!r}"
+            assert solve(np.int64(8)) == solve(8)
 
 
 class TestBruteForce:
@@ -163,6 +184,10 @@ class TestPoolingMaterialization:
         with pytest.raises(ValidationError):
             pooling_from_multiplicity(MultiplicityFunction(4, {4: 1}), range(5))
 
+    def test_index_beyond_intp(self):
+        with pytest.raises(ValidationError, match="specimen indices must lie in"):
+            pooling_from_multiplicity(MultiplicityFunction(4, {2: 2}), [0, 1, 2, 2**70])
+
     def test_reduction_consistency(self):
         # cost of the materialized family equals sum c(i) mu(i)
         rng = np.random.default_rng(304)
@@ -191,6 +216,7 @@ class TestDorfmanInfiniteSize:
 
     def test_s_max_cap(self):
         assert dorfman_infinite_size(0.0001, s_max=10) <= 10
+        assert dorfman_infinite_size(0.01624, s_max=np.int64(50)) == 8
 
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.2, 1.5):

@@ -120,6 +120,19 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             monte_carlo(iid_model(4, 0.1), blocks(4, 2), 0, 1)
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_trials_are_non_boolean_integers(self, bad):
+        batches = [np.array([0, 1, 0, 0])]
+        for draw in (
+            lambda: monte_carlo(iid_model(4, 0.1), blocks(4, 2), bad, 1),
+            lambda: empirical_trial_totals(batches, MultiplicityFunction(4, {2: 2}), True, bad, 1),
+        ):
+            with pytest.raises(ValidationError) as err:
+                draw()
+            assert str(err.value) == f"trials must be an integer >= 1, got {bad!r}"
+        totals = mc_trial_totals(iid_model(4, 0.1), blocks(4, 2), np.int64(3), 1)
+        assert totals.tolist() == mc_trial_totals(iid_model(4, 0.1), blocks(4, 2), 3, 1).tolist()
+
 
 def sampled_batches(model, count, seed):
     return [sample_outcome(model, substream(seed, b, 0)).statuses for b in range(count)]
