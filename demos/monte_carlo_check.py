@@ -23,8 +23,8 @@ for seed in (0, 1, 2):
     z = (s.mean_tests - analytic) / s.std_error
     print(f"seed {seed}: mean {s.mean_tests:.3f} +- {s.std_error:.3f}  (z = {z:+.2f})")
 
-# same seed, same numbers: every trial draws from its own counter-based
-# substream, so results do not depend on execution order
+# same seed, same numbers: the counts and the positions come from two
+# counter-based substreams of the seed, read in a fixed order
 again = monte_carlo(m, pools, trials=10000, seed=0)
 print("reproducible:", again.mean_tests == monte_carlo(m, pools, trials=10000, seed=0).mean_tests)
 

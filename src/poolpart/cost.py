@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import QCurve, check_int, check_n
+from .model import QCurve, _is_int, check_int, check_n
 
 __all__ = [
     "CostVector",
@@ -31,6 +31,15 @@ __all__ = [
 ]
 
 _MAX_INDEX = int(np.iinfo(np.intp).max)
+
+
+def _specimen_index(i) -> int:
+    """A non-boolean Python or numpy integer in [0, intp max], as int."""
+    if not _is_int(i):
+        raise ValidationError(f"specimen indices must be integers, got {i!r}")
+    if not 0 <= i <= _MAX_INDEX:
+        raise ValidationError(f"specimen indices must lie in [0, {_MAX_INDEX}], got {i}")
+    return int(i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +90,7 @@ class GroupFamily:
     retest: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        gs = tuple(tuple(int(i) for i in g) for g in self.groups)
+        gs = tuple(tuple(map(_specimen_index, g)) for g in self.groups)
         if not gs:
             raise ValidationError("a group family must contain at least one group")
         seen = set()
@@ -89,10 +98,6 @@ class GroupFamily:
             if not g:
                 raise ValidationError("groups must be nonempty")
             for i in g:
-                if not 0 <= i <= _MAX_INDEX:
-                    raise ValidationError(
-                        f"specimen indices must lie in [0, {_MAX_INDEX}], got {i}"
-                    )
                 if i in seen:
                     raise ValidationError(f"groups must be pairwise disjoint; index {i} repeats")
                 seen.add(i)

@@ -174,7 +174,7 @@ def pooling_from_multiplicity(
     largest parts first.  The caller's order is meaningful (e.g. specimens
     sorted by run timestamp), so it is never shuffled here.
     """
-    pop = [int(i) for i in population]
+    pop = list(population)
     if mu.target != len(pop):
         raise ValidationError(
             f"multiplicity target {mu.target} does not match population size {len(pop)}"

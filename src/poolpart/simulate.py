@@ -18,21 +18,28 @@ Random draws come from counter-based Philox substreams
                that stream.  A batch whose statuses are all equal costs the
                same under every assignment, so it draws nothing.
   Monte Carlo  lane 0, draw 0: every trial's positive count k_t, from one
-               choice(n + 1, size=trials, p=alpha) call.  Lane 1, draw 0: a
-               (trials x n) key matrix read row-major; the positives of
-               trial t are the first k_t entries of the argsort of row t.
+               choice(n + 1, size=trials, p=alpha) call.  Lane 1, draw 0:
+               uniforms read trial-major, trial t's m_t = min(k_t, n - k_t)
+               right after trial t - 1's.  Step i of trial t takes
+               j = n - m_t + i and picks position floor(u * (j + 1)), or j
+               itself when that position is already picked (Floyd's
+               algorithm), so the m_t picks are a uniform m_t-subset.
+               They are the positives when k_t <= n - k_t and the
+               negatives otherwise: every trial has exactly k_t positives.
 
-Monte Carlo finds those entries without the argsort: they are the keys at
-or below the k_t-th smallest key of the row, read from a value sort.  Only
-a row whose (k_t+1)-th smallest key equals its k_t-th (an exact tie, about
-n**2 / 2**54 per row at most) is argsorted, so every trial has exactly k_t
-positives and the totals are those of the layout above.
+For the largest uniform, 1 - 2**-53, floor(u * (j + 1)) is j for every
+j + 1 < 2**22 (checked exhaustively), so no pick leaves the population.
+Uniforms are multiples of 2**-53 and the product is rounded once, so each
+of the j + 1 positions is picked with a probability within 2**-52 of
+1 / (j + 1), a relative error below (j + 1) * 2**-52.  The work per trial
+scales with m_t, not with n.
 
-Keys are drawn in blocks of whole rows, at most _BLOCK_ELEMENTS keys each
-(one row when a row is longer).  The block size bounds memory only: every
-block reads the next rows of the same stream, so results do not depend on
-it.  Results are reproducible for a given seed and do not depend on
-execution order.
+Replay draws its keys in blocks of whole rows, at most _BLOCK_ELEMENTS
+keys each (one row when a row is longer); Monte Carlo fills a mask of at
+most 16 * _BLOCK_ELEMENTS cells per block of trials (one trial when a row
+is longer).  The block size bounds memory only: every block reads the next
+values of the same stream, so results do not depend on it.  Results are
+reproducible for a given seed and do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -59,8 +66,10 @@ __all__ = [
     "summarize_totals",
 ]
 
-# Most uniform keys held at once.  It bounds memory only; the stream layout
-# in the module docstring fixes every value drawn.
+# Most replay keys held at once, and a sixteenth of the Monte Carlo mask
+# cells: each Floyd step is a few numpy calls over a block's rows, so wider
+# blocks make fewer calls.  It bounds memory only; the stream layout in the
+# module docstring fixes every value drawn.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -149,16 +158,36 @@ def _key_blocks(
         yield block, rng.random((block.stop - t0, n))
 
 
+def _floyd_picks(rng: np.random.Generator, n: int, picks: np.ndarray) -> np.ndarray:
+    """A (len(picks) x n) bool mask with picks[r] cells set in row r by
+    Floyd's algorithm, from the next picks.sum() uniforms of rng read row
+    by row (see the module docstring)."""
+    u = rng.random(int(picks.sum()))
+    # in this order the rows still picking at step i are a prefix
+    order = np.argsort(-picks, kind="stable")
+    live = len(picks) - np.cumsum(np.bincount(picks))[:-1]  # rows with > i picks
+    first = (np.cumsum(picks) - picks)[order]  # each row's first uniform
+    row = order * n  # each row's first cell
+    span = n - picks[order] + 1  # j + 1 at step 0
+    x = np.zeros((len(picks), n), dtype=bool)
+    cells = x.reshape(-1)
+    for i, a in enumerate(live.tolist()):
+        s = span[:a] + i
+        pos = row[:a] + (u[first[:a] + i] * s).astype(np.intp)
+        cells[np.where(cells[pos], row[:a] + s - 1, pos)] = True
+    return x
+
+
 def mc_trial_totals(
     m: SymmetricModel, f: GroupFamily, trials: int, seed: int
 ) -> np.ndarray:
     """Total tests per trial for outcomes sampled from the model.
 
-    Counts come from substream (seed, 0, 0) in one draw for all trials;
-    trial t's positives are the first k_t entries of the argsort of row t
-    of the key matrix on substream (seed, 1, 0).  They are found as the
-    keys at or below the row's k_t-th smallest key, from a value sort, with
-    the argsort only on an exact tie.  See the module docstring.
+    Counts come from substream (seed, 0, 0) in one draw for all trials.
+    Trial t then picks m_t = min(k_t, n - k_t) positions by Floyd's
+    algorithm from the next m_t uniforms of substream (seed, 1, 0); they
+    are its positives when k_t <= n - k_t and its negatives otherwise.  See
+    the module docstring.
     """
     trials = check_int("trials", trials)
     top = int(f.members.max())
@@ -166,18 +195,14 @@ def mc_trial_totals(
         raise IndexError(f"group member {top} outside population of size {m.n}")
     n = m.n
     counts = substream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
+    picks = np.minimum(counts, n - counts)
+    rng = substream(seed, 1, 0)
+    rows = max(1, 16 * _BLOCK_ELEMENTS // n)
     totals = np.empty(trials)
-    for block, keys in _key_blocks(substream(seed, 1, 0), trials, n):
-        k = counts[block]
-        ranked = np.sort(keys, axis=1)
-        row = np.arange(len(k))
-        # keys lie in [0, 1), so a threshold of -1 selects none
-        threshold = np.where(k > 0, ranked[row, k - 1], -1.0)
-        x = keys <= threshold[:, None]
-        tied = (k < n) & (ranked[row, np.minimum(k, n - 1)] == threshold)
-        for t in np.flatnonzero(tied):
-            x[t] = False
-            x[t, keys[t].argsort()[: k[t]]] = True
+    for t0 in range(0, trials, rows):
+        block = slice(t0, t0 + rows)
+        x = _floyd_picks(rng, n, picks[block])
+        x ^= (counts[block] > picks[block])[:, None]
         totals[block] = f.tests(x)
     return totals
 

@@ -192,6 +192,18 @@ class TestGroupFamily:
         with pytest.raises(ValidationError, match="got -1$"):
             GroupFamily(((0, -1),))
 
+    @pytest.mark.parametrize("group", [(0.5, 1.7), (True, 3), (np.float64(3.0), 2)])
+    def test_non_integer_indices_rejected(self, group):
+        # (0.5, 1.7) used to become (0, 1), and (True, 3) became (1, 3)
+        with pytest.raises(ValidationError) as err:
+            GroupFamily((group,))
+        assert str(err.value) == f"specimen indices must be integers, got {group[0]!r}"
+
+    def test_numpy_integer_indices_pass(self):
+        f = GroupFamily(((np.int64(2), np.uint8(0)), (np.int32(1),)))
+        assert f.groups == ((2, 0), (1,))
+        assert {type(i) for g in f.groups for i in g} == {int}
+
     def test_properties(self):
         f = GroupFamily(((4, 2, 7), (0,), (3, 5)))
         assert f.sizes == (3, 1, 2)

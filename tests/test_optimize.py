@@ -188,6 +188,11 @@ class TestPoolingMaterialization:
         with pytest.raises(ValidationError, match="specimen indices must lie in"):
             pooling_from_multiplicity(MultiplicityFunction(4, {2: 2}), [0, 1, 2, 2**70])
 
+    def test_non_integer_population_rejected(self):
+        # [0.9, 1.2] used to pool specimens 0 and 1
+        with pytest.raises(ValidationError, match=r"^specimen indices must be integers, got 0\.9$"):
+            pooling_from_multiplicity(MultiplicityFunction(2, {2: 1}), [0.9, 1.2])
+
     def test_reduction_consistency(self):
         # cost of the materialized family equals sum c(i) mu(i)
         rng = np.random.default_rng(304)

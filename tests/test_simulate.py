@@ -304,7 +304,7 @@ class TestBlockKernel:
             )
 
         default = run_all()
-        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1)  # one row per block
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 0)  # one row per block
         one_row = run_all()
         assert default[0].tobytes() == one_row[0].tobytes()
         assert default[1].tobytes() == one_row[1].tobytes()
@@ -334,14 +334,9 @@ class TestBlockKernel:
         f = GroupFamily(((8, 0, 5), (3,), (2, 9, 4, 6)))
         m = SymmetricModel(10, random_alpha(np.random.default_rng(64), 10))
         trials, seed = 150, 65
-        counts = substream(seed, 0, 0).choice(11, size=trials, p=m.alpha)
-        keys = substream(seed, 1, 0).random((trials, 10))
-        want = []
-        for t in range(trials):
-            x = np.zeros(10, dtype=np.uint8)
-            x[np.argsort(keys[t])[: counts[t]]] = 1
-            want.append(run_dorfman(f, OutcomeVector(x)).total_tests)
-        assert mc_trial_totals(m, f, trials, seed).tolist() == want
+        x = floyd_outcomes(m, trials, seed)
+        want = np.array([run_dorfman(f, OutcomeVector(row)).total_tests for row in x], dtype=float)
+        assert mc_trial_totals(m, f, trials, seed).tobytes() == want.tobytes()
 
     def test_replay_matches_documented_layout(self):
         batches = sampled_batches(iid_model(24, 0.15), 6, 66)
@@ -379,13 +374,38 @@ class TestBlockKernel:
             assert abs(s.mean_tests - analytic) < 4 * s.std_error
 
 
-def argsort_kernel(m, f, trials, seed, stream=substream):
-    """The argsort kernel mc_trial_totals ran before it found positives from
-    a value sort, kept as the oracle: argsort every row of the key matrix
-    and mark its first k_t entries."""
+def floyd_outcomes(m, trials, seed, stream=substream):
+    """The Monte Carlo layout documented in poolpart.simulate, one trial at
+    a time: m_t = min(k_t, n - k_t) picks by Floyd's algorithm from the
+    next m_t uniforms of lane 1, as a (trials x n) outcome matrix."""
     n = m.n
     counts = stream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
-    order = stream(seed, 1, 0).random((trials, n)).argsort(axis=1)
+    uniforms = stream(seed, 1, 0)
+    x = np.empty((trials, n), dtype=np.uint8)
+    for t, k in enumerate(counts.tolist()):
+        picks = min(k, n - k)
+        chosen = set()
+        for i, u in enumerate(uniforms.random(picks).tolist()):
+            j = n - picks + i
+            pos = math.floor(u * (j + 1))
+            chosen.add(j if pos in chosen else pos)
+        x[t] = k > n - k
+        x[t, sorted(chosen)] = k <= n - k
+    return x
+
+
+def floyd_reference(m, f, trials, seed, stream=substream):
+    """floyd_outcomes tallied by GroupFamily.tests, as total tests per trial."""
+    return f.tests(floyd_outcomes(m, trials, seed, stream)).astype(float)
+
+
+def argsort_kernel(m, f, trials, seed):
+    """The argsort layout mc_trial_totals used before Floyd's algorithm,
+    kept as a distribution oracle: trial t's positives are the first k_t
+    entries of the argsort of row t of a (trials x n) key matrix."""
+    n = m.n
+    counts = substream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
+    order = substream(seed, 1, 0).random((trials, n)).argsort(axis=1)
     x = np.empty(order.shape, dtype=np.uint8)
     np.put_along_axis(x, order, np.arange(n) < counts[:, None], axis=1)
     return f.tests(x).astype(float)
@@ -405,39 +425,79 @@ def random_mc_case(rng):
     return SymmetricModel(n, alpha), random_family(rng, n), int(rng.integers(1, 3001))
 
 
-class FourValuedKeys:
-    """Stand-in generator whose keys take the values 0, 1/4, 1/2 and 3/4,
-    read row-major from a real stream, so almost every row has ties."""
+class FourValuedUniforms:
+    """Stand-in generator whose uniforms take the values 0, 1/4, 1/2 and
+    3/4, read from a real stream, so Floyd's steps often land on a position
+    already picked."""
 
     def __init__(self, rng):
         self.rng = rng
 
-    def random(self, shape):
-        return np.floor(self.rng.random(shape) * 4) / 4
+    def random(self, size):
+        return np.floor(self.rng.random(size) * 4) / 4
+
+
+class LargestUniform:
+    """Stand-in generator that always returns 1 - 2**-53, the largest value
+    Generator.random can."""
+
+    def random(self, size):
+        return np.full(size, 1 - 2.0**-53)
+
+
+class CountedUniforms:
+    """A real stream that counts the uniforms read from it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.read = 0
+
+    def random(self, size):
+        self.read += size
+        return self.rng.random(size)
+
+
+def serving_lane_1(gen):
+    """A substream stand-in that returns gen for lane 1."""
+    return lambda seed, lane, draw: gen if lane == 1 else substream(seed, lane, draw)
 
 
 def four_valued_lane_1(seed, lane, draw):
     rng = substream(seed, lane, draw)
-    return FourValuedKeys(rng) if lane == 1 else rng
+    return FourValuedUniforms(rng) if lane == 1 else rng
 
 
-class TestValueSortKernel:
-    """mc_trial_totals against the argsort kernel it replaced, bit for bit."""
+def recorded_rows(monkeypatch):
+    """Every outcome row GroupFamily.tests tallies, in call order."""
+    rows = []
+    tally = GroupFamily.tests
+
+    def recording_tests(f, block):
+        rows.extend(np.asarray(block, dtype=np.uint8))
+        return tally(f, block)
+
+    monkeypatch.setattr(GroupFamily, "tests", recording_tests)
+    return rows
+
+
+class TestFloydKernel:
+    """mc_trial_totals against the documented layout, bit for bit, and
+    against the argsort layout it replaced, in distribution."""
 
     @pytest.mark.parametrize("one_row", [False, True])
     @pytest.mark.parametrize("chunk", range(20))
-    def test_matches_argsort_kernel(self, chunk, one_row, monkeypatch):
+    def test_matches_floyd_reference(self, chunk, one_row, monkeypatch):
         import poolpart.simulate as sim
 
         if one_row:  # one row per block, on a tenth of the trials
-            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1)
+            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 0)
         rng = np.random.default_rng([70, chunk])
         for case in range(10):
             m, f, trials = random_mc_case(rng)
             trials = 1 + trials // 10 if one_row else trials
             seed = 1000 * chunk + case
             got = mc_trial_totals(m, f, trials, seed)
-            assert got.tobytes() == argsort_kernel(m, f, trials, seed).tobytes()
+            assert got.tobytes() == floyd_reference(m, f, trials, seed).tobytes()
 
     def test_edge_sizes(self):
         for n in (1, 2):
@@ -445,30 +505,71 @@ class TestValueSortKernel:
             for f in (GroupFamily(((0,),)), GroupFamily((tuple(range(n)),))):
                 for trials in (1, 2, 3000):
                     got = mc_trial_totals(m, f, trials, 72)
-                    assert got.tobytes() == argsort_kernel(m, f, trials, 72).tobytes()
+                    assert got.tobytes() == floyd_reference(m, f, trials, 72).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 200])
     def test_tied_keys_keep_exactly_k_positives(self, n, monkeypatch):
         import poolpart.simulate as sim
 
-        positives = []
-        tally = GroupFamily.tests
-
-        def recording_tests(f, rows):
-            positives.extend(rows.sum(axis=1).tolist())
-            return tally(f, rows)
-
         rng = np.random.default_rng([73, n])
         m = SymmetricModel(n, rng.dirichlet(np.ones(n + 1)))
         f = random_family(rng, n)
         trials, seed = 500, 74
-        want = argsort_kernel(m, f, trials, seed, four_valued_lane_1)
+        want = floyd_reference(m, f, trials, seed, four_valued_lane_1)
         monkeypatch.setattr(sim, "substream", four_valued_lane_1)
-        monkeypatch.setattr(GroupFamily, "tests", recording_tests)
+        rows = recorded_rows(monkeypatch)
         got = mc_trial_totals(m, f, trials, seed)
         counts = substream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
-        assert positives == counts.tolist()
+        assert [int(r.sum()) for r in rows] == counts.tolist()
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", ["iid", "clustered"])
+    def test_mean_matches_argsort_layout(self, family):
+        if family == "iid":
+            m = iid_model(40, 0.05)
+        else:  # no positives, or exactly 6
+            m = SymmetricModel(40, np.bincount([0, 6], weights=[0.8, 0.2], minlength=41))
+        f = blocks(40, 5)
+        a = summarize_totals(mc_trial_totals(m, f, 100_000, 78), 40)
+        b = summarize_totals(argsort_kernel(m, f, 100_000, 78), 40)
+        assert abs(a.mean_tests - b.mean_tests) < 4 * math.hypot(a.std_error, b.std_error)
+
+    @pytest.mark.parametrize("n", [1, 7, 40, 201])
+    def test_reads_one_uniform_per_pick(self, n, monkeypatch):
+        import poolpart.simulate as sim
+
+        rng = np.random.default_rng([79, n])
+        m = SymmetricModel(n, rng.dirichlet(np.ones(n + 1)))
+        lane_1 = CountedUniforms(substream(80, 1, 0))
+        monkeypatch.setattr(sim, "substream", serving_lane_1(lane_1))
+        mc_trial_totals(m, random_family(rng, n), 700, 80)
+        counts = substream(80, 0, 0).choice(n + 1, size=700, p=m.alpha)
+        assert lane_1.read == np.minimum(counts, n - counts).sum()
+
+    def test_point_masses_at_zero_and_n_read_nothing(self, monkeypatch):
+        import poolpart.simulate as sim
+
+        lane_1 = CountedUniforms(substream(81, 1, 0))
+        monkeypatch.setattr(sim, "substream", serving_lane_1(lane_1))
+        m = SymmetricModel(30, np.bincount([0, 30], weights=[0.7, 0.3], minlength=31))
+        totals = mc_trial_totals(m, blocks(30, 6), 500, 81)
+        assert lane_1.read == 0
+        assert set(totals.tolist()) == {5.0, 35.0}
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 301])
+    def test_largest_uniform_stays_in_range(self, n, monkeypatch):
+        # floor(u * (j + 1)) is j for u = 1 - 2**-53, so step i picks
+        # n - m_t + i: the last m_t specimens, never a position out of range
+        import poolpart.simulate as sim
+
+        monkeypatch.setattr(sim, "substream", serving_lane_1(LargestUniform()))
+        rows = recorded_rows(monkeypatch)
+        m = SymmetricModel(n, np.full(n + 1, 1.0 / (n + 1)))
+        mc_trial_totals(m, GroupFamily((tuple(range(n)),)), 400, 82)
+        counts = substream(82, 0, 0).choice(n + 1, size=400, p=m.alpha)
+        spec = np.arange(n)
+        want = [np.where(k <= n - k, spec >= n - k, spec < k) for k in counts.tolist()]
+        assert np.array_equal(np.array(rows), np.array(want, dtype=np.uint8))
 
 
 def variance_from_q(q, f):
