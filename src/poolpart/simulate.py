@@ -10,22 +10,25 @@ replay stacks and checks its cohort with `model.status_matrix`.
 `run_dorfman`'s per-group loop is the reference the tests hold them to.
 
 Random draws come from counter-based Philox substreams
-`substream(seed, lane, draw)`, one per lane rather than one per trial:
+`substream(seed, lane, draw)`, one per lane rather than one per trial.
+Both simulations draw an outcome with k_t positives among n the same way:
+trial t reads m_t = min(k_t, n - k_t) uniforms from its lane's stream,
+right after trial t - 1's.  Step i of trial t takes j = n - m_t + i and
+picks position floor(u * (j + 1)), or j itself when that position is
+already picked (Floyd's algorithm), so the m_t picks are a uniform
+m_t-subset.  They are the positives when k_t <= n - k_t and the negatives
+otherwise: every trial has exactly k_t positives.
 
-  replay       lane b (the batch's position in the cohort), draw 0.  Trial
-               t assigns specimens to pool slots by the argsort of row t of
-               a (trials x n) matrix of uniform keys read row-major from
-               that stream.  A batch whose statuses are all equal costs the
-               same under every assignment, so it draws nothing.
   Monte Carlo  lane 0, draw 0: every trial's positive count k_t, from one
                choice(n + 1, size=trials, p=alpha) call.  Lane 1, draw 0:
-               uniforms read trial-major, trial t's m_t = min(k_t, n - k_t)
-               right after trial t - 1's.  Step i of trial t takes
-               j = n - m_t + i and picks position floor(u * (j + 1)), or j
-               itself when that position is already picked (Floyd's
-               algorithm), so the m_t picks are a uniform m_t-subset.
-               They are the positives when k_t <= n - k_t and the
-               negatives otherwise: every trial has exactly k_t positives.
+               the picks.
+  replay       lane b (the batch's position in the cohort), draw 0: the
+               picks, with k_t = k_b, the batch's positive count, in every
+               trial.  The positions are pool slots: a tally reads only
+               which slots hold positives, and a uniformly random
+               assignment of the batch's specimens puts them in a uniform
+               k_b-subset of slots.  A batch whose statuses are all equal
+               costs the same under every assignment, so it draws nothing.
 
 For the largest uniform, 1 - 2**-53, floor(u * (j + 1)) is j for every
 j + 1 < 2**22 (checked exhaustively), so no pick leaves the population.
@@ -34,19 +37,18 @@ of the j + 1 positions is picked with a probability within 2**-52 of
 1 / (j + 1), a relative error below (j + 1) * 2**-52.  The work per trial
 scales with m_t, not with n.
 
-Replay draws its keys in blocks of whole rows, at most _BLOCK_ELEMENTS
-keys each (one row when a row is longer); Monte Carlo fills a mask of at
-most 16 * _BLOCK_ELEMENTS cells per block of trials (one trial when a row
-is longer).  The block size bounds memory only: every block reads the next
-values of the same stream, so results do not depend on it.  Results are
-reproducible for a given seed and do not depend on execution order.
+Each simulation fills an outcome mask of at most _BLOCK_ELEMENTS cells per
+block of trials (one trial when a row is longer).  The block size bounds
+memory only: every block reads the next values of the same stream, so
+results do not depend on it.  Results are reproducible for a given seed
+and do not depend on execution order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -66,11 +68,10 @@ __all__ = [
     "summarize_totals",
 ]
 
-# Most replay keys held at once, and a sixteenth of the Monte Carlo mask
-# cells: each Floyd step is a few numpy calls over a block's rows, so wider
-# blocks make fewer calls.  It bounds memory only; the stream layout in the
-# module docstring fixes every value drawn.
-_BLOCK_ELEMENTS = 1 << 14
+# Most outcome-mask cells held at once: each Floyd step is a few numpy calls
+# over a block's rows, so wider blocks make fewer calls.  It bounds memory
+# only; the stream layout in the module docstring fixes every value drawn.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -147,17 +148,6 @@ def summarize_totals(totals: np.ndarray, specimens: int, batches: int = 1) -> Tr
     return TrialSummary(len(totals), mean_tests, se, mean_eff, eff_se)
 
 
-def _key_blocks(
-    rng: np.random.Generator, trials: int, n: int
-) -> Iterator[Tuple[slice, np.ndarray]]:
-    """Blocks of whole rows of a (trials x n) uniform key matrix read
-    row-major from rng, each with its trial slice."""
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    for t0 in range(0, trials, rows):
-        block = slice(t0, min(t0 + rows, trials))
-        yield block, rng.random((block.stop - t0, n))
-
-
 def _floyd_picks(rng: np.random.Generator, n: int, picks: np.ndarray) -> np.ndarray:
     """A (len(picks) x n) bool mask with picks[r] cells set in row r by
     Floyd's algorithm, from the next picks.sum() uniforms of rng read row
@@ -178,6 +168,23 @@ def _floyd_picks(rng: np.random.Generator, n: int, picks: np.ndarray) -> np.ndar
     return x
 
 
+def _subset_totals(
+    rng: np.random.Generator, f: GroupFamily, n: int, counts: np.ndarray
+) -> np.ndarray:
+    """Total tests per trial when trial t's counts[t] positives among n are
+    a uniform subset picked by _floyd_picks from rng, in blocks of whole
+    trials (see the module docstring)."""
+    picks = np.minimum(counts, n - counts)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    totals = np.empty(len(counts))
+    for t0 in range(0, len(counts), rows):
+        block = slice(t0, t0 + rows)
+        x = _floyd_picks(rng, n, picks[block])
+        x ^= (counts[block] > picks[block])[:, None]
+        totals[block] = f.tests(x)
+    return totals
+
+
 def mc_trial_totals(
     m: SymmetricModel, f: GroupFamily, trials: int, seed: int
 ) -> np.ndarray:
@@ -193,18 +200,8 @@ def mc_trial_totals(
     top = int(f.members.max())
     if top >= m.n:
         raise IndexError(f"group member {top} outside population of size {m.n}")
-    n = m.n
-    counts = substream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
-    picks = np.minimum(counts, n - counts)
-    rng = substream(seed, 1, 0)
-    rows = max(1, 16 * _BLOCK_ELEMENTS // n)
-    totals = np.empty(trials)
-    for t0 in range(0, trials, rows):
-        block = slice(t0, t0 + rows)
-        x = _floyd_picks(rng, n, picks[block])
-        x ^= (counts[block] > picks[block])[:, None]
-        totals[block] = f.tests(x)
-    return totals
+    counts = substream(seed, 0, 0).choice(m.n + 1, size=trials, p=m.alpha)
+    return _subset_totals(substream(seed, 1, 0), f, m.n, counts)
 
 
 def monte_carlo(
@@ -229,11 +226,12 @@ def empirical_trial_totals(
     """Whole-cohort total tests per trial.
 
     The design assigns consecutive slices (largest pools first) within each
-    batch.  With randomize on, trial t fills batch b's slots in the order
-    of the argsort of row t of the key matrix on substream (seed, b, 0)
-    (see the module docstring); with randomize off there is a single
-    deterministic pass in stored order (length-1 result).  Totals add up
-    in batch order, so they do not depend on the block size.
+    batch.  With randomize on, trial t puts batch b's k_b positives in the
+    min(k_b, n - k_b) slots Floyd's algorithm picks from substream
+    (seed, b, 0), or outside them when k_b > n - k_b (see the module
+    docstring); with randomize off there is a single deterministic pass in
+    stored order (length-1 result).  Totals add up in batch order, so they
+    do not depend on the block size.
     """
     if randomize:
         check_uint64("seed", seed)  # constant batches never reach substream
@@ -243,14 +241,14 @@ def empirical_trial_totals(
     f = pooling_from_multiplicity(mu, range(n))
     if not randomize:
         return np.array([f.tests(data).sum()], dtype=float)
-    totals = np.zeros(trials, dtype=np.int64)
+    totals = np.zeros(trials)
     for b, row in enumerate(data):
         if row.min() == row.max():  # every assignment costs the same
             totals += f.tests(row[None])
-            continue
-        for block, keys in _key_blocks(substream(seed, b, 0), trials, n):
-            totals[block] += f.tests(row[keys.argsort(axis=1)])
-    return totals.astype(float)
+        else:
+            counts = np.full(trials, int(row.sum()))
+            totals += _subset_totals(substream(seed, b, 0), f, n, counts)
+    return totals
 
 
 def empirical_evaluate(

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -346,9 +347,10 @@ class TestBlockKernel:
         trials, seed = 30, 67
         want = np.zeros(trials)
         for b, row in enumerate(batches):
-            keys = substream(seed, b, 0).random((trials, 24))
+            uniforms = substream(seed, b, 0)
             for t in range(trials):
-                want[t] += run_dorfman(pools, OutcomeVector(row[np.argsort(keys[t])])).total_tests
+                x = floyd_subset(uniforms, 24, int(row.sum()))
+                want[t] += run_dorfman(pools, OutcomeVector(x)).total_tests
         assert empirical_trial_totals(batches, mu, True, trials, seed).tolist() == want.tolist()
 
     def test_replay_mean_matches_symmetric_fit_cost(self):
@@ -374,29 +376,45 @@ class TestBlockKernel:
             assert abs(s.mean_tests - analytic) < 4 * s.std_error
 
 
-def floyd_outcomes(m, trials, seed, stream=substream):
-    """The Monte Carlo layout documented in poolpart.simulate, one trial at
-    a time: m_t = min(k_t, n - k_t) picks by Floyd's algorithm from the
-    next m_t uniforms of lane 1, as a (trials x n) outcome matrix."""
-    n = m.n
-    counts = stream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
-    uniforms = stream(seed, 1, 0)
-    x = np.empty((trials, n), dtype=np.uint8)
-    for t, k in enumerate(counts.tolist()):
-        picks = min(k, n - k)
-        chosen = set()
-        for i, u in enumerate(uniforms.random(picks).tolist()):
-            j = n - picks + i
-            pos = math.floor(u * (j + 1))
-            chosen.add(j if pos in chosen else pos)
-        x[t] = k > n - k
-        x[t, sorted(chosen)] = k <= n - k
+def floyd_subset(uniforms, n, k):
+    """One trial of the subset layout documented in poolpart.simulate:
+    min(k, n - k) picks by Floyd's algorithm from the next uniforms of
+    `uniforms`, as a 0/1 row of n with exactly k positives."""
+    picks = min(k, n - k)
+    chosen = set()
+    for i, u in enumerate(uniforms.random(picks).tolist()):
+        j = n - picks + i
+        pos = math.floor(u * (j + 1))
+        chosen.add(j if pos in chosen else pos)
+    x = np.full(n, k > n - k, dtype=np.uint8)
+    x[sorted(chosen)] = k <= n - k
     return x
+
+
+def floyd_outcomes(m, trials, seed, stream=substream):
+    """The Monte Carlo layout, one trial at a time: k_t from lane 0, then
+    floyd_subset from lane 1, as a (trials x n) outcome matrix."""
+    counts = stream(seed, 0, 0).choice(m.n + 1, size=trials, p=m.alpha)
+    uniforms = stream(seed, 1, 0)
+    return np.array([floyd_subset(uniforms, m.n, k) for k in counts.tolist()])
 
 
 def floyd_reference(m, f, trials, seed, stream=substream):
     """floyd_outcomes tallied by GroupFamily.tests, as total tests per trial."""
     return f.tests(floyd_outcomes(m, trials, seed, stream)).astype(float)
+
+
+def replay_reference(batches, mu, trials, seed):
+    """The replay layout, one batch at a time: floyd_subset from lane b
+    with batch b's positive count in every trial, tallied by
+    GroupFamily.tests.  A constant batch reads no uniforms."""
+    n = mu.target
+    f = pooling_from_multiplicity(mu, range(n))
+    totals = np.zeros(trials)
+    for b, row in enumerate(batches):
+        uniforms, k = substream(seed, b, 0), int(row.sum())
+        totals += f.tests(np.array([floyd_subset(uniforms, n, k) for _ in range(trials)]))
+    return totals
 
 
 def argsort_kernel(m, f, trials, seed):
@@ -423,6 +441,21 @@ def random_mc_case(rng):
     n = int(rng.integers(1, 201))
     alpha = rng.dirichlet(np.full(n + 1, rng.choice([0.1, 1.0])))
     return SymmetricModel(n, alpha), random_family(rng, n), int(rng.integers(1, 3001))
+
+
+def random_multiplicity(rng, n):
+    """Part sizes cut from 1..n at random cut points."""
+    cuts = rng.choice(np.arange(1, n), size=rng.integers(0, n), replace=False)
+    sizes = np.diff(np.sort(np.concatenate([[0, n], cuts])))
+    return MultiplicityFunction(n, Counter(sizes.tolist()))
+
+
+def random_cohort(rng, n):
+    """1-8 batches of n: all negative, all positive, or of a random
+    prevalence, so constant and non-constant batches mix."""
+    kinds = rng.choice(["neg", "pos", "mixed", "mixed", "mixed"], size=rng.integers(1, 9))
+    cut = {"neg": 0.0, "pos": 1.0}
+    return [(rng.random(n) < cut.get(kind, rng.random())).astype(np.uint8) for kind in kinds]
 
 
 class FourValuedUniforms:
@@ -569,6 +602,63 @@ class TestFloydKernel:
         counts = substream(82, 0, 0).choice(n + 1, size=400, p=m.alpha)
         spec = np.arange(n)
         want = [np.where(k <= n - k, spec >= n - k, spec < k) for k in counts.tolist()]
+        assert np.array_equal(np.array(rows), np.array(want, dtype=np.uint8))
+
+
+class TestReplayKernel:
+    """Randomized replay against the documented layout, bit for bit, with
+    the same checks as TestFloydKernel."""
+
+    @pytest.mark.parametrize("one_row", [False, True])
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_matches_replay_reference(self, chunk, one_row, monkeypatch):
+        import poolpart.simulate as sim
+
+        if one_row:  # one row per block, on a tenth of the trials
+            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 0)
+        rng = np.random.default_rng([84, chunk])
+        for case in range(10):
+            n = int(rng.integers(1, 121))
+            mu, batches = random_multiplicity(rng, n), random_cohort(rng, n)
+            trials = int(rng.integers(1, 301))
+            trials = 1 + trials // 10 if one_row else trials
+            seed = 1000 * chunk + case
+            got = empirical_trial_totals(batches, mu, True, trials, seed)
+            assert got.tobytes() == replay_reference(batches, mu, trials, seed).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 40, 201])
+    def test_reads_one_uniform_per_pick(self, n, monkeypatch):
+        import poolpart.simulate as sim
+
+        lanes = []
+
+        def counted(seed, lane, draw):
+            lanes.append((lane, draw, CountedUniforms(substream(seed, lane, draw))))
+            return lanes[-1][2]
+
+        monkeypatch.setattr(sim, "substream", counted)
+        rng = np.random.default_rng([85, n])
+        batches = random_cohort(rng, n)
+        empirical_trial_totals(batches, random_multiplicity(rng, n), True, 300, 86)
+        ks = [int(row.sum()) for row in batches]
+        want = [(b, 0, 300 * min(k, n - k)) for b, k in enumerate(ks) if 0 < k < n]
+        assert [(lane, draw, c.read) for lane, draw, c in lanes] == want
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 301])
+    def test_largest_uniform_stays_in_range(self, n, monkeypatch):
+        # step i picks slot n - m + i: the last m slots, never one out of range
+        import poolpart.simulate as sim
+
+        monkeypatch.setattr(sim, "substream", lambda seed, lane, draw: LargestUniform())
+        rows = recorded_rows(monkeypatch)
+        ks = np.linspace(0, n, 7).astype(int).tolist()
+        batches = [(np.arange(n) < k).astype(np.uint8) for k in ks]
+        empirical_trial_totals(batches, MultiplicityFunction(n, {n: 1}), True, 40, 87)
+        spec = np.arange(n)
+        want = []
+        for k in ks:
+            row = np.where(k <= n - k, spec >= n - k, spec < k)
+            want += [row] * (1 if k in (0, n) else 40)  # a constant batch is tallied once
         assert np.array_equal(np.array(rows), np.array(want, dtype=np.uint8))
 
 
