@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .cost import cost_vector, efficiency, expected_tests_partition
+from .cost import CostVector, cost_vector, efficiency, expected_tests_partition
 from .errors import InfeasibleError, PoolPartError, ValidationError
 from .estimate import fit_iid, fit_symmetric
 from .ingest import filter_pools, impute_batches, parse_pools, read_batches, write_batches
@@ -133,16 +133,16 @@ def _blocks(n: int, size: int) -> MultiplicityFunction:
 def strategy_multiplicity(
     strategy: str,
     batch_size: int,
-    m_iid: SymmetricModel,
-    m_sym: SymmetricModel,
+    p_iid: float,
+    cv: CostVector,
     max_pool: Optional[int] = None,
 ) -> MultiplicityFunction:
-    """Pooling multiplicity for one strategy.
-
-    max_pool caps every strategy's pool size (fixed sizes are clamped, the
-    optimizers get a restricted cost vector).  The dorfman strategy handles
-    the degenerate fits the infinite-population formula excludes: one big
-    pool at zero prevalence, individual testing at full prevalence.
+    """Pooling multiplicity for one strategy: dorfman reads the fitted IID
+    prevalence p_iid, iid and symmetric solve on cv, the caller's cost
+    vector for that strategy's model.  max_pool caps every pool size (fixed
+    sizes are clamped, the optimizers read cv up to the cap).  dorfman
+    handles the degenerate fits the infinite-population formula excludes:
+    one big pool at zero prevalence, individual testing at full prevalence.
     """
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
@@ -152,21 +152,16 @@ def strategy_multiplicity(
     if strategy == "team8":
         return _blocks(batch_size, min(8, cap))
     if strategy == "dorfman":
-        p = prevalence(m_iid)
-        if p <= 0.0:
+        if p_iid <= 0.0:
             s = cap
-        elif p >= 1.0:
+        elif p_iid >= 1.0:
             s = 1
         else:
-            s = min(dorfman_infinite_size(p, s_max=max(cap, 2)), cap)
+            s = min(dorfman_infinite_size(p_iid, s_max=max(cap, 2)), cap)
         return _blocks(batch_size, s)
-    m = m_iid if strategy == "iid" else m_sym
-    if m.n != batch_size:
-        raise ValidationError(
-            f"model size {m.n} does not match batch size {batch_size}"
-        )
-    cv = cost_vector(q_from_alpha(m), max_size=cap)
-    mu, _ = dp_solve(cv, batch_size)
+    if cv.n != batch_size:
+        raise ValidationError(f"model size {cv.n} does not match batch size {batch_size}")
+    mu, _ = dp_solve(CostVector(cv.n, cv.c[: cap + 1]), batch_size)
     return mu
 
 
@@ -201,13 +196,15 @@ def run_experiment(
         m_sym = fit_symmetric(batches, laplace=laplace)
         cv_sym = cost_vector(q_from_alpha(m_sym))
         cv_iid = cost_vector(q_from_alpha(m_iid))
+        p_iid = prevalence(m_iid)
     reports = []
     # every strategy replays on the same seed, so equal designs give equal
     # summaries: replay each distinct multiplicity once
     replays: Dict[tuple, tuple] = {}
     for name in STRATEGIES:
         with _stage(f"optimize[{name}]"):
-            mu = strategy_multiplicity(name, batch_size, m_iid, m_sym, max_pool)
+            cv = cv_iid if name == "iid" else cv_sym
+            mu = strategy_multiplicity(name, batch_size, p_iid, cv, max_pool)
             pools = pooling_from_multiplicity(mu, range(batch_size))
             t_sym = expected_tests_partition(cv_sym, pools)
             t_iid = expected_tests_partition(cv_iid, pools)
@@ -373,9 +370,11 @@ def _cmd_optimize(args) -> int:
         m = iid_model(n, args.prevalence)
     p = args.prevalence if args.prevalence is not None else prevalence(m)
     m_iid = m if args.model is None else iid_model(n, p)
-    mu = strategy_multiplicity(args.strategy, n, m_iid, m, args.max_pool_size)
+    cv = cost_vector(q_from_alpha(m))
+    cv_plan = cost_vector(q_from_alpha(m_iid)) if args.strategy == "iid" and m_iid is not m else cv
+    mu = strategy_multiplicity(args.strategy, n, prevalence(m_iid), cv_plan, args.max_pool_size)
     pools = pooling_from_multiplicity(mu, range(n))
-    tests = expected_tests_partition(cost_vector(q_from_alpha(m)), pools)
+    tests = expected_tests_partition(cv, pools)
     _write_json(
         {
             "strategy": args.strategy,

@@ -105,7 +105,9 @@ class GroupFamily:
         layout = {
             "members": np.fromiter((i for g in gs for i in g), dtype=np.intp, count=len(seen)),
             "starts": np.cumsum(sizes) - sizes,
-            "retest": sizes * (sizes >= 2),
+            # int32, so `tests` multiplies the bool matrix without an int64
+            # copy: a row's total is at most groups + covered, far below 2**31
+            "retest": (sizes * (sizes >= 2)).astype(np.int32),
         }
         object.__setattr__(self, "groups", gs)
         for name, v in layout.items():

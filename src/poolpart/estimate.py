@@ -56,6 +56,18 @@ def empirical_counts(batches: Sequence) -> EmpiricalCounts:
     return EmpiricalCounts(n, hist, data.shape[0])
 
 
+def _smoothed_total(observed: int, laplace: float, cells: int) -> float:
+    """observed + laplace * cells, the denominator of a smoothed frequency.
+    A laplace that overflows it would divide inf by inf, so it is rejected."""
+    total = observed + float(laplace) * cells
+    if not math.isfinite(total):
+        raise ValidationError(
+            f"laplace {laplace!r} is too large: the smoothed total "
+            f"{observed} + {cells} * laplace overflows"
+        )
+    return total
+
+
 def fit_symmetric(batches: Sequence, laplace: float = 0.0) -> SymmetricModel:
     """MLE over all exchangeable models: alpha[k] = count-k frequency.
 
@@ -65,8 +77,8 @@ def fit_symmetric(batches: Sequence, laplace: float = 0.0) -> SymmetricModel:
     if not (math.isfinite(laplace) and laplace >= 0):
         raise ValidationError(f"laplace must be finite and >= 0, got {laplace!r}")
     ec = empirical_counts(batches)
-    num = ec.histogram.astype(float) + laplace
-    alpha = num / (ec.total_batches + laplace * (ec.n + 1))
+    total = _smoothed_total(ec.total_batches, laplace, ec.n + 1)
+    alpha = (ec.histogram.astype(float) + laplace) / total
     return SymmetricModel(ec.n, alpha / math.fsum(alpha.tolist()))
 
 
@@ -76,9 +88,7 @@ def fit_iid(batches: Sequence, laplace: float = 0.0) -> SymmetricModel:
     if not (math.isfinite(laplace) and laplace >= 0):
         raise ValidationError(f"laplace must be finite and >= 0, got {laplace!r}")
     data = status_matrix(batches)
-    positives = float(data.sum())
-    specimens = float(data.size)
-    p = (positives + laplace) / (specimens + 2.0 * laplace)
+    p = (float(data.sum()) + laplace) / _smoothed_total(data.size, laplace, 2)
     return iid_model(data.shape[1], p)
 
 

@@ -20,11 +20,11 @@ alone cannot round-trip alpha -> q -> w -> alpha at large n; the rational
 channel makes the round trip exact.  The q -> w recursion runs on integer
 numerators over one common denominator and rounds each w[k] once; a curve
 without the channel is read as the exact dyadic rationals its floats are.
-The exact alpha -> q sum still adds Fractions: an integer sum would speed
-`report` several-fold, and that waits until the benchmark's memory reading
-no longer grows with the number of ops it completes (ROADMAP item 1).
-Without the channel, alpha -> q is an O(n**2) float recurrence on binomial
-ratios in [0, 1] (relative error below (2h + 2) * 2**-53 at group size h).
+Both alpha -> q paths use q[h] = sum_k alpha[k] C(n-k,h) / C(n,h).  With
+the channel the sum adds Fractions and divides once (an integer sum would
+speed `report` several-fold; it waits for the benchmark's memory fix,
+ROADMAP item 1).  Without it an O(n**2) float recurrence gives the ratios,
+and q[h] has relative error below (2h + 2) * 2**-53.
 Every other conversion reads exact rationals (the channel, else the dyadic
 values of the floats) and rounds each result once, so C(n, k) beyond the
 float range (n >= 1030) does not overflow; a result beyond it raises.
@@ -286,28 +286,26 @@ def q_from_alpha(m: SymmetricModel) -> QCurve:
     """Convert alpha to the q representation.
 
     Drawing h specimens without replacement from a population with exactly k
-    positives leaves all h negative with probability C(n-h,k)/C(n,k), so
-    q[h] = sum_k alpha[k] C(n-h,k)/C(n,k).  With the rational channel the
-    sum is exact.  Otherwise it uses C(n-h,k)/C(n,k) = C(n-k,h)/C(n,h) =
-    r_h[k], kept as one float vector that each step multiplies by
-    (n-k-h+1)/(n-h+1): O(n**2) work, O(n) memory and no big integers.  Every
-    factor lies in [0, 1] and each step rounds twice, so r_h[k] has relative
-    error below 2h * 2**-53; `math.fsum` adds the nonnegative terms with one
-    rounding, so q[h] has relative error below (2h + 2) * 2**-53.  No step
-    grows a term, so the float q is nonincreasing, and q[n] = alpha[0]
-    exactly.
+    positives leaves all h negative with probability C(n-k,h)/C(n,h), so both
+    paths compute q[h] = sum_k alpha[k] C(n-k,h) / C(n,h).  With the rational
+    channel the sum over the nonzero alpha[k] is exact and divided once.
+    Otherwise r_h[k] = C(n-k,h)/C(n,h) is kept as one float vector that
+    each step multiplies by (n-k-h+1)/(n-h+1): O(n**2) work, O(n) memory
+    and no big integers.  Every factor lies in [0, 1] and each step rounds
+    twice, so r_h[k] has relative error below 2h * 2**-53; `math.fsum` adds
+    the nonnegative terms with one rounding, so q[h] has relative error
+    below (2h + 2) * 2**-53.  No step grows a term, so the float q is
+    nonincreasing, and q[n] = alpha[0] exactly.
     """
     n = m.n
     exact = _exact_alpha(m)
     if exact is not None:
-        cn = [math.comb(n, k) for k in range(n + 1)]
-        qx = []
-        for h in range(n + 1):
-            acc = Fraction(0)
-            for k in range(n - h + 1):
-                if exact[k]:
-                    acc += exact[k] * Fraction(math.comb(n - h, k), cn[k])
-            qx.append(acc)
+        nz = [(k, x) for k, x in enumerate(exact) if x]
+        # Fraction(sum, ...): an empty sum is the int 0, and 0 / C(n, h) a float
+        qx = [
+            Fraction(sum(x * math.comb(n - k, h) for k, x in nz if k <= n - h), math.comb(n, h))
+            for h in range(n + 1)
+        ]
         q = [1.0, *_rounded(qx[1:], "q")]
         return QCurve(n, q, _exact=tuple(qx))
     q = np.empty(n + 1)

@@ -28,6 +28,7 @@ from poolpart import (
     monte_carlo,
     parse_pools,
     pooling_from_multiplicity,
+    prevalence,
     q_from_alpha,
     sample_outcome,
     strategy_multiplicity,
@@ -79,8 +80,9 @@ def test_criterion_03_fixed_dorfman_and_iid_strategies_coincide():
     m_iid = fit_iid(batches)
     m_sym = fit_symmetric(batches)
     want = MultiplicityFunction(80, {8: 10})
+    cv_iid = cost_vector(q_from_alpha(m_iid))
     for name in ("team8", "dorfman", "iid"):
-        assert strategy_multiplicity(name, 80, m_iid, m_sym) == want
+        assert strategy_multiplicity(name, 80, prevalence(m_iid), cv_iid) == want
 
 
 def test_criterion_04_ingest_conserves_specimens(tmp_path):
@@ -185,9 +187,10 @@ def test_criterion_08_symmetric_fit_beats_iid_fit_on_clustered_cohort():
     batches = sampled_batches(truth, 2000, seed=21)
     m_iid = fit_iid(batches)
     m_sym = fit_symmetric(batches)
-    mu_iid = strategy_multiplicity("iid", 80, m_iid, m_sym)
-    mu_sym = strategy_multiplicity("symmetric", 80, m_iid, m_sym)
+    p_iid = prevalence(m_iid)
     cv = cost_vector(q_from_alpha(m_sym))
+    mu_iid = strategy_multiplicity("iid", 80, p_iid, cost_vector(q_from_alpha(m_iid)))
+    mu_sym = strategy_multiplicity("symmetric", 80, p_iid, cv)
     t_iid = expected_tests_partition(cv, pooling_from_multiplicity(mu_iid, range(80)))
     t_sym = expected_tests_partition(cv, pooling_from_multiplicity(mu_sym, range(80)))
     assert t_sym < t_iid

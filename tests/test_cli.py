@@ -8,11 +8,14 @@ from poolpart import (
     MultiplicityFunction,
     SymmetricModel,
     ValidationError,
+    cost_vector,
     iid_model,
     emit_model_analysis,
     empirical_evaluate,
     fit_iid,
     fit_symmetric,
+    prevalence,
+    q_from_alpha,
     read_batches,
     sample_outcome,
     strategy_multiplicity,
@@ -153,9 +156,10 @@ class TestOptimizeCommand:
 
     def test_max_pool_size_is_an_integer(self):
         m = iid_model(8, 0.1)
+        p, cv = prevalence(m), cost_vector(q_from_alpha(m))
         with pytest.raises(ValidationError, match="max pool size must be an integer >= 1"):
-            strategy_multiplicity("team8", 8, m, m, max_pool=2.5)
-        assert strategy_multiplicity("team8", 8, m, m, max_pool=np.int64(4)).as_dict() == {4: 2}
+            strategy_multiplicity("team8", 8, p, cv, max_pool=2.5)
+        assert strategy_multiplicity("team8", 8, p, cv, max_pool=np.int64(4)).as_dict() == {4: 2}
 
     def test_float_path_population(self, capsys):
         code, out = run(capsys, "optimize", "--n", "1000", "--prevalence", "0.01")
@@ -290,6 +294,46 @@ class TestReportCommand:
         assert out_path.read_bytes() == expected.encode()
 
 
+class TestExactQCalls:
+    """Each command builds the exact q curve of each model it plans or
+    scores with once; only the plot series build theirs again."""
+
+    @pytest.fixture
+    def q_calls(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            qc = q_from_alpha(m)
+            calls.append(qc._exact is not None)
+            return qc
+
+        monkeypatch.setattr("poolpart.cli.q_from_alpha", counted)
+        return calls
+
+    @pytest.mark.parametrize("plots, want", [(False, 2), (True, 4)])
+    def test_report(self, capsys, batches_file, tmp_path, q_calls, plots, want):
+        argv = ["report", "--batches", str(batches_file), "--trials", "10"]
+        if plots:
+            argv += ["--plots-dir", str(tmp_path / "plots")]
+        assert run(capsys, *argv)[0] == 0
+        assert q_calls == [True] * want
+
+    @pytest.mark.parametrize("strategy", ["team8", "dorfman", "iid", "symmetric"])
+    def test_optimize_with_prevalence(self, capsys, q_calls, strategy):
+        argv = ["optimize", "--n", "80", "--prevalence", "0.01624", "--strategy", strategy]
+        assert run(capsys, *argv)[0] == 0
+        assert q_calls == [True]
+
+    @pytest.mark.parametrize(
+        "strategy, want", [("team8", 1), ("dorfman", 1), ("iid", 2), ("symmetric", 1)]
+    )
+    def test_optimize_with_model(self, capsys, batches_file, tmp_path, q_calls, strategy, want):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(fit_symmetric(read_batches(batches_file)).to_dict()))
+        assert run(capsys, "optimize", "--model", str(model_path), "--strategy", strategy)[0] == 0
+        assert q_calls == [True] * want
+
+
 class TestEmitModelAnalysis:
     def test_hand_model_series(self, tmp_path):
         m_iid = iid_model(2, 0.5)
@@ -402,6 +446,8 @@ class TestMalformedInputs:
             (OPTIMIZE, json.dumps({"n": 1, "alpha": {"a": 1}}), "alpha"),
             (REPORT + ["inf"], BATCHES_4, "laplace"),
             (REPORT + ["nan"], BATCHES_4, "laplace"),
+            (FIT + ["--family", "iid", "--laplace", "1e308"], BATCHES_4, "laplace"),
+            (FIT + ["--family", "symmetric", "--laplace", "1e308"], BATCHES_4, "laplace"),
             (OPTIMIZE, json.dumps({"n": 1, "alpha": ["0.5", "0.5"]}), "alpha"),
             (OPTIMIZE, json.dumps({"n": 1, "alpha": [True, False]}), "alpha"),
             (OPTIMIZE, json.dumps({"n": 1, "alpha": [None, 1.0]}), "alpha"),
@@ -418,7 +464,9 @@ class TestMalformedInputs:
             "fractional-multiplicity-count", "fractional-multiplicity-count-below-2",
             "boolean-multiplicity-count", "string-multiplicity-count",
             "string-model-alpha", "object-model-alpha",
-            "infinite-laplace", "nan-laplace", "string-alpha-entries", "boolean-alpha-entries",
+            "infinite-laplace", "nan-laplace",
+            "iid-laplace-overflowing-total", "symmetric-laplace-overflowing-total",
+            "string-alpha-entries", "boolean-alpha-entries",
             "null-alpha-entry", "alpha-entry-beyond-float-range",
             "negative-report-seed-constant-cohort", "report-seed-beyond-uint64-constant-cohort",
             "negative-replay-seed-constant-cohort", "replay-seed-beyond-uint64-constant-cohort",

@@ -221,3 +221,7 @@ class TestGroupFamily:
         rows[1] = 1
         want = [run_dorfman(f, OutcomeVector(r)).total_tests for r in rows]
         assert f.tests(rows).tolist() == want
+        singles = GroupFamily(tuple((i,) for i in range(1000)))
+        rows = np.random.default_rng(6).integers(0, 2, size=(8, 1000), dtype=np.uint8)
+        want = [run_dorfman(singles, OutcomeVector(r)).total_tests for r in rows]
+        assert singles.tests(rows).tolist() == want

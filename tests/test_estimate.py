@@ -116,6 +116,25 @@ class TestFitIid:
         )
 
 
+class TestLaplaceRange:
+    """A laplace whose smoothed total overflows is rejected instead of
+    dividing by inf (which read as p = 0 for the IID fit)."""
+
+    BATCHES = [batch([0, 1, 0, 0]), batch([0, 0, 0, 0])]
+
+    @pytest.mark.parametrize("fit", [fit_iid, fit_symmetric])
+    @pytest.mark.parametrize("laplace", [1e308, np.float64(1e308)])
+    def test_overflowing_total_raises(self, fit, laplace):
+        with pytest.raises(ValidationError, match="laplace"):
+            fit(self.BATCHES, laplace=laplace)
+
+    def test_large_finite_total_still_fits(self):
+        assert prevalence(fit_iid(self.BATCHES, laplace=1e300)) == 0.5
+        alpha = fit_symmetric(self.BATCHES, laplace=1e300).alpha.tolist()
+        assert alpha == [alpha[0]] * 5
+        assert abs(alpha[0] - 0.2) < 1e-15
+
+
 class TestKlCounts:
     def test_zero_on_identical_models(self):
         m = iid_model(8, 0.2)

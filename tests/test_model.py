@@ -111,6 +111,23 @@ class TestQFromAlpha:
             assert np.all(np.diff(qc.q) <= 1e-15)
             assert qc.q[0] == 1.0
 
+    @pytest.mark.parametrize("n", [1, 6, 80, 100])
+    @pytest.mark.parametrize(
+        "make", [lambda n: point_mass(n, n), lambda n: iid_model(n, 1.0)],
+        ids=["point-mass-at-n", "iid-all-positive"],
+    )
+    def test_vanishing_exact_curve_stays_rational(self, make, n):
+        # no alpha[k] survives the sum at h >= 1, so every q[h] there is an
+        # empty sum, which must still enter the channel as a Fraction
+        m = make(n)
+        qc = q_from_alpha(m)
+        ow = w_from_q(qc)
+        back = alpha_from_w(ow)
+        for v in (qc, ow, back):
+            assert all(isinstance(x, Fraction) for x in v._exact)
+        assert qc.q.tolist() == [1.0] + [0.0] * n
+        assert back.alpha.tobytes() == m.alpha.tobytes()
+
     def test_matches_bruteforce_marginal(self):
         rng = np.random.default_rng(102)
         for _ in range(10):
