@@ -15,8 +15,8 @@ Strategies:
     symmetric  cost-optimal partition under the fitted exchangeable model
 
 Option values resolve as flags > POOLPART_* environment variables >
-defaults.  Exit codes: 0 success, 2 validation error, 3 I/O error,
-4 infeasible optimization.
+defaults.  Exit codes: 0 success, 2 validation error or out of memory,
+3 I/O error, 4 infeasible optimization.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .cost import CostVector, cost_vector, efficiency, expected_tests_partition
 from .errors import InfeasibleError, PoolPartError, ValidationError
 from .estimate import fit_iid, fit_symmetric
 from .ingest import filter_pools, impute_batches, parse_pools, read_batches, write_batches
-from .model import SymmetricModel, check_int, check_uint64, iid_model, prevalence, q_from_alpha
+from .model import QCurve, SymmetricModel, check_int, check_uint64
+from .model import iid_model, prevalence, q_from_alpha
 from .optimize import (
     MultiplicityFunction,
     dorfman_infinite_size,
@@ -167,11 +168,13 @@ def strategy_multiplicity(
 
 @dataclass(frozen=True, eq=False)
 class Experiment:
-    """The four strategy reports and the fitted models they came from."""
+    """The four strategy reports, the fitted models and the q curves they used."""
 
     reports: List[StrategyReport]
     m_iid: SymmetricModel
     m_sym: SymmetricModel
+    q_iid: QCurve
+    q_sym: QCurve
 
 
 def run_experiment(
@@ -194,8 +197,8 @@ def run_experiment(
     with _stage("fit"):
         m_iid = fit_iid(batches, laplace=laplace)
         m_sym = fit_symmetric(batches, laplace=laplace)
-        cv_sym = cost_vector(q_from_alpha(m_sym))
-        cv_iid = cost_vector(q_from_alpha(m_iid))
+        q_sym, q_iid = q_from_alpha(m_sym), q_from_alpha(m_iid)
+        cv_sym, cv_iid = cost_vector(q_sym), cost_vector(q_iid)
         p_iid = prevalence(m_iid)
     reports = []
     # every strategy replays on the same seed, so equal designs give equal
@@ -225,26 +228,25 @@ def run_experiment(
                 empirical_deterministic=deterministic,
             )
         )
-    return Experiment(reports, m_iid, m_sym)
+    return Experiment(reports, m_iid, m_sym, q_iid, q_sym)
 
 
-def emit_model_analysis(m_iid: SymmetricModel, m_sym: SymmetricModel, out_dir) -> List[str]:
-    """Write plot-ready CSV series comparing the two fitted models:
-    alpha[k] vs k, q[h] vs h, and U(h) vs h."""
-    if m_iid.n != m_sym.n:
-        raise ValidationError(f"models must share n, got {m_iid.n} and {m_sym.n}")
-    n = m_iid.n
+def emit_model_analysis(exp: Experiment, out_dir) -> List[str]:
+    """Write plot-ready CSV series comparing the two fitted models of exp,
+    alpha[k] vs k, q[h] vs h and U(h) vs h, from the q curves its plans used."""
+    n = exp.m_iid.n
+    if {exp.m_sym.n, exp.q_iid.n, exp.q_sym.n} != {n}:
+        raise ValidationError(f"models and curves must share n = {n}")
     os.makedirs(out_dir, exist_ok=True)
-    q_iid, q_sym = q_from_alpha(m_iid), q_from_alpha(m_sym)
-    u_iid, u_sym = (cost_vector(qc).c[1:].tolist() for qc in (q_iid, q_sym))
+    u_iid, u_sym = (cost_vector(qc).c[1:].tolist() for qc in (exp.q_iid, exp.q_sym))
     series = {
         "alpha.csv": (
             ("k", "iid", "symmetric"),
-            [(k, float(m_iid.alpha[k]), float(m_sym.alpha[k])) for k in range(n + 1)],
+            [(k, float(exp.m_iid.alpha[k]), float(exp.m_sym.alpha[k])) for k in range(n + 1)],
         ),
         "q.csv": (
             ("h", "iid", "symmetric"),
-            [(h, float(q_iid.q[h]), float(q_sym.q[h])) for h in range(n + 1)],
+            [(h, float(exp.q_iid.q[h]), float(exp.q_sym.q[h])) for h in range(n + 1)],
         ),
         "u.csv": (
             ("h", "iid", "symmetric"),
@@ -432,7 +434,7 @@ def _cmd_report(args) -> int:
         "strategies": [r.to_dict() for r in exp.reports],
     }
     if args.plots_dir:
-        doc["plots"] = emit_model_analysis(exp.m_iid, exp.m_sym, args.plots_dir)
+        doc["plots"] = emit_model_analysis(exp, args.plots_dir)
     _write_json(doc, args.out)
     return 0
 
@@ -509,8 +511,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValidationError, MemoryError) as e:  # numpy's MemoryError names the size
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)

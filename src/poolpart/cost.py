@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import QCurve, _is_int, check_int, check_n
+from .model import _MAX_INDEX, QCurve, _is_int, check_int, check_n
 
 __all__ = [
     "CostVector",
@@ -29,8 +29,6 @@ __all__ = [
     "expected_tests_partition",
     "efficiency",
 ]
-
-_MAX_INDEX = int(np.iinfo(np.intp).max)
 
 
 def _specimen_index(i) -> int:

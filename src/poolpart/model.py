@@ -21,10 +21,9 @@ channel makes the round trip exact.  The q -> w recursion runs on integer
 numerators over one common denominator and rounds each w[k] once; a curve
 without the channel is read as the exact dyadic rationals its floats are.
 Both alpha -> q paths use q[h] = sum_k alpha[k] C(n-k,h) / C(n,h).  With
-the channel the sum adds Fractions and divides once (an integer sum would
-speed `report` several-fold; it waits for the benchmark's memory fix,
-ROADMAP item 1).  Without it an O(n**2) float recurrence gives the ratios,
-and q[h] has relative error below (2h + 2) * 2**-53.
+the channel the sum adds Fractions and divides once.  Without it an
+O(n**2) float recurrence gives the ratios, and q[h] has relative error
+below (2h + 2) * 2**-53.
 Every other conversion reads exact rationals (the channel, else the dyadic
 values of the floats) and rounds each result once, so C(n, k) beyond the
 float range (n >= 1030) does not overflow; a result beyond it raises.
@@ -66,6 +65,10 @@ __all__ = [
 # this the Fractions get expensive and callers fall back to float paths.
 _EXACT_LIMIT = 100
 
+# Largest numpy index: specimen indices stay at or below it, and numpy
+# shapes a float64 vector of at most _MAX_INDEX // 8 entries.
+_MAX_INDEX = int(np.iinfo(np.intp).max)
+
 _NORM_TOL = 1e-12
 _NEG_W_TOL = -1e-9
 
@@ -84,9 +87,13 @@ def check_int(name: str, v, low: int = 1) -> int:
     return int(v)
 
 
-def check_n(n) -> int:
-    """Population sizes are integers >= 1."""
-    return check_int("population size", n)
+def check_n(n, name: str = "population size") -> int:
+    """Population sizes and trial counts: integers >= 1 below intp max // 8,
+    so that numpy can shape a float64 vector of n + 1 entries."""
+    n = check_int(name, n)
+    if n >= _MAX_INDEX // 8:
+        raise ValidationError(f"{name} must be below {_MAX_INDEX // 8}, got {n}")
+    return n
 
 
 def _checked_vector(obj, name: str) -> np.ndarray:
@@ -266,18 +273,21 @@ def iid_model(n: int, prevalence: float) -> SymmetricModel:
     p = float(prevalence)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"prevalence must lie in [0, 1], got {p!r}")
-    if n <= _EXACT_LIMIT or p in (0.0, 1.0):  # log space below would take log(0)
+    if n <= _EXACT_LIMIT:
         pf = Fraction(p)
         exact = tuple(math.comb(n, k) * pf**k * (1 - pf) ** (n - k) for k in range(n + 1))
-        channel = exact if n <= _EXACT_LIMIT else None
-        return SymmetricModel(n, _rounded(exact, "alpha"), _exact=channel)
+        return SymmetricModel(n, _rounded(exact, "alpha"), _exact=exact)
+    # allocated first, so a size that cannot be held fails before the loop
+    alpha = np.zeros(n + 1)
+    if p in (0.0, 1.0):  # a point mass; log space below would take log(0)
+        alpha[0 if p == 0.0 else n] = 1.0
+        return SymmetricModel(n, alpha)
     # log-space binomial pmf for large n; exponent differences stay modest
     lp, lq = math.log(p), math.log1p(-p)
-    logc = [
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        for k in range(n + 1)
-    ]
-    alpha = np.array([math.exp(logc[k] + k * lp + (n - k) * lq) for k in range(n + 1)])
+    for k in range(n + 1):
+        alpha[k] = math.exp(
+            math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * lp + (n - k) * lq
+        )
     alpha = alpha / math.fsum(alpha.tolist())
     return SymmetricModel(n, alpha)
 

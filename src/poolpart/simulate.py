@@ -54,7 +54,7 @@ import numpy as np
 
 from .cost import GroupFamily
 from .errors import ValidationError
-from .model import OutcomeVector, SymmetricModel, check_int, check_uint64, status_matrix, substream
+from .model import OutcomeVector, SymmetricModel, check_n, check_uint64, status_matrix, substream
 from .optimize import MultiplicityFunction, pooling_from_multiplicity
 
 __all__ = [
@@ -196,7 +196,7 @@ def mc_trial_totals(
     are its positives when k_t <= n - k_t and its negatives otherwise.  See
     the module docstring.
     """
-    trials = check_int("trials", trials)
+    trials = check_n(trials, "trials")
     top = int(f.members.max())
     if top >= m.n:
         raise IndexError(f"group member {top} outside population of size {m.n}")
@@ -235,7 +235,7 @@ def empirical_trial_totals(
     """
     if randomize:
         check_uint64("seed", seed)  # constant batches never reach substream
-        trials = check_int("trials", trials)
+        trials = check_n(trials, "trials")
     n = mu.target
     data = status_matrix(batches, n)
     f = pooling_from_multiplicity(mu, range(n))

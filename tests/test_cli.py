@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poolpart import (
+    Experiment,
     InfeasibleError,
     MultiplicityFunction,
     SymmetricModel,
@@ -74,10 +75,53 @@ class TestExitCodes:
         code, _ = run(capsys, "optimize", "--n", "4", "--prevalence", "0.1")
         assert code == 4
 
+    def test_memory_error_is_2_with_one_line(self, capsys, monkeypatch):
+        def boom(args):
+            raise MemoryError
+
+        monkeypatch.setattr("poolpart.cli._cmd_optimize", boom)
+        assert main(["optimize", "--n", "4", "--prevalence", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     def test_argparse_rejections_exit_2(self):
         with pytest.raises(SystemExit) as err:
             main(["optimize", "--strategy", "bogus", "--n", "4", "--prevalence", "0.1"])
         assert err.value.code == 2
+
+
+class TestOversizedCounts:
+    """A trial count or population size whose float64 vector numpy cannot
+    shape exits 2 before anything that size is built.  2**50 trials can be
+    shaped but not held (8 PiB): numpy's MemoryError exits 2 as well."""
+
+    @pytest.fixture
+    def sim_argv(self, tmp_path):
+        (tmp_path / "model.json").write_text('{"n": 4, "alpha": [0.6, 0.2, 0.1, 0.06, 0.04]}')
+        (tmp_path / "mu.json").write_text('{"2": 2}')
+        (tmp_path / "batches.csv").write_text("batch_index,statuses\n0,NNPN\n1,PPNN\n2,NNNN\n")
+        mu = ["--multiplicity", str(tmp_path / "mu.json")]
+        return {
+            "simulate-model": ["simulate", "--model", str(tmp_path / "model.json"), *mu],
+            "simulate-batches": ["simulate", "--batches", str(tmp_path / "batches.csv"), *mu],
+            "report": ["report", "--batches", str(tmp_path / "batches.csv"), "--batch-size", "4"],
+        }
+
+    @pytest.mark.parametrize("trials", [2**60, 2**63, 10**20, 2**50])
+    @pytest.mark.parametrize("command", ["simulate-model", "simulate-batches", "report"])
+    def test_trials(self, capsys, sim_argv, command, trials):
+        assert main([*sim_argv[command], "--trials", str(trials)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        if trials == 2**50:
+            assert "Unable to allocate 8.00 PiB" in err
+        else:
+            assert f"trials must be below {2**60 - 1}, got {trials}" in err
+
+    def test_population_size(self, capsys):
+        assert main(["optimize", "--n", str(10**20), "--prevalence", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: population size must be below {2**60 - 1}, got {10**20}\n"
+        )
 
 
 class TestIngestCommand:
@@ -296,7 +340,7 @@ class TestReportCommand:
 
 class TestExactQCalls:
     """Each command builds the exact q curve of each model it plans or
-    scores with once; only the plot series build theirs again."""
+    scores with once."""
 
     @pytest.fixture
     def q_calls(self, monkeypatch):
@@ -310,13 +354,14 @@ class TestExactQCalls:
         monkeypatch.setattr("poolpart.cli.q_from_alpha", counted)
         return calls
 
-    @pytest.mark.parametrize("plots, want", [(False, 2), (True, 4)])
-    def test_report(self, capsys, batches_file, tmp_path, q_calls, plots, want):
+    @pytest.mark.parametrize("plots", [False, True])
+    def test_report(self, capsys, batches_file, tmp_path, q_calls, plots):
+        # the plot series write the curves the plans were built from
         argv = ["report", "--batches", str(batches_file), "--trials", "10"]
         if plots:
             argv += ["--plots-dir", str(tmp_path / "plots")]
         assert run(capsys, *argv)[0] == 0
-        assert q_calls == [True] * want
+        assert q_calls == [True, True]
 
     @pytest.mark.parametrize("strategy", ["team8", "dorfman", "iid", "symmetric"])
     def test_optimize_with_prevalence(self, capsys, q_calls, strategy):
@@ -334,11 +379,16 @@ class TestExactQCalls:
         assert q_calls == [True] * want
 
 
+def hand_experiment(m_iid, m_sym):
+    """An Experiment with no strategy reports, holding each model's curve."""
+    return Experiment([], m_iid, m_sym, q_from_alpha(m_iid), q_from_alpha(m_sym))
+
+
 class TestEmitModelAnalysis:
     def test_hand_model_series(self, tmp_path):
         m_iid = iid_model(2, 0.5)
         m_sym = SymmetricModel(2, np.array([0.0, 1.0, 0.0]))
-        paths = emit_model_analysis(m_iid, m_sym, tmp_path)
+        paths = emit_model_analysis(hand_experiment(m_iid, m_sym), tmp_path)
         assert sorted(p.rsplit("/", 1)[-1] for p in paths) == ["alpha.csv", "q.csv", "u.csv"]
         q_rows = (tmp_path / "q.csv").read_text().strip().splitlines()
         assert q_rows[0] == "h,iid,symmetric"
@@ -349,11 +399,17 @@ class TestEmitModelAnalysis:
         assert u_rows[1] == "1,1.0,1.0"
         assert u_rows[2] == "2,2.5,3.0"
 
+    def test_models_and_curves_must_share_n(self, tmp_path):
+        exp = hand_experiment(iid_model(2, 0.5), iid_model(2, 0.5))
+        bad = Experiment([], exp.m_iid, exp.m_sym, exp.q_iid, q_from_alpha(iid_model(3, 0.5)))
+        with pytest.raises(ValidationError, match="models and curves must share n = 2"):
+            emit_model_analysis(bad, tmp_path)
+
     def test_identical_inputs_identical_series(self, tmp_path):
         m = iid_model(6, 0.2)
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        emit_model_analysis(m, m, d1)
-        emit_model_analysis(m, m, d2)
+        emit_model_analysis(hand_experiment(m, m), d1)
+        emit_model_analysis(hand_experiment(m, m), d2)
         for name in ("alpha.csv", "q.csv", "u.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 

@@ -40,7 +40,7 @@ def single_positive_pair():
 
 
 class TestIidModel:
-    @pytest.mark.parametrize("n", [4, 100, 101])
+    @pytest.mark.parametrize("n", [4, 100, 101, 384])
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_degenerate_prevalence_is_point_mass(self, p, n):
         # n = 100 is the last size with a rational channel, n = 101 the
@@ -59,6 +59,13 @@ class TestIidModel:
             assert m._exact is None
         q = q_from_alpha(m).q.tolist()
         assert q == ([1.0] * (n + 1) if p == 0.0 else [1.0] + [0.0] * n)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_prevalence_at_large_n(self, p):
+        n = 10_000
+        m = iid_model(n, p)
+        assert m.alpha.tobytes() == point_mass(n, n if p == 1.0 else 0).alpha.tobytes()
+        assert m._exact is None
 
     def test_fair_coin_n2(self):
         assert_allclose(iid_model(2, 0.5).alpha, [0.25, 0.5, 0.25], rtol=1e-15)
@@ -527,6 +534,62 @@ class TestPopulationSizeCheck:
             with pytest.raises(ValidationError) as err:
                 make()
             assert str(err.value) == f"population size must be an integer >= 1, got {bad!r}"
+
+    @pytest.mark.parametrize("big", [2**60 - 1, 2**63, 10**20])
+    def test_sizes_no_vector_can_hold(self, big):
+        # rejected before any array is built: numpy cannot shape a float64
+        # vector of big + 1 entries
+        from poolpart import CostVector
+
+        for make in (
+            lambda: SymmetricModel(big, np.array([1.0])),
+            lambda: QCurve(big, np.array([1.0])),
+            lambda: CostVector(big, np.array([np.nan, 1.0])),
+            lambda: iid_model(big, 0.1),
+            lambda: iid_model(big, 0.0),
+        ):
+            with pytest.raises(ValidationError) as err:
+                make()
+            assert str(err.value) == f"population size must be below {2**60 - 1}, got {big}"
+
+
+def integer_q(m):
+    """q[h] = sum_k A_k C(n-k, h) / (D C(n, h)) as an exact (numerator,
+    denominator) pair per h >= 1, where A_k / D are the alpha floats over
+    the lcm D of their denominators and C(n-k, h) is a running column."""
+    n = m.n
+    ratios = [a.as_integer_ratio() for a in m.alpha.tolist()]
+    den = math.lcm(*(d for _, d in ratios))
+    num = [a * (den // d) for a, d in ratios]
+    col = [1] * (n + 1)  # C(n-k, 0)
+    out = []
+    for h in range(1, n + 1):
+        # C(n-k, h) = C(n-k, h-1) (n-k-h+1) / h; it is 0 for k > n - h
+        col = [c * (n - k - h + 1) // h for k, c in enumerate(col[: n - h + 1])]
+        out.append((sum(a * c for a, c in zip(num, col) if a), den * col[0]))
+    return out
+
+
+class TestFloatQAgainstIntegerOracle:
+    """The float path's documented bound, relative error below
+    (2h + 2) * 2**-53, against the exact sum of the same alpha floats."""
+
+    @pytest.mark.parametrize("n", [200, 500, 1000])
+    @pytest.mark.parametrize("family", ["iid", "beta-binomial"])
+    def test_within_documented_bound(self, family, n):
+        if family == "iid":
+            m = iid_model(n, 0.02)
+        else:
+            m = SymmetricModel(n, beta_binomial_alpha(n, 0.3, 15.0))
+        qc = q_from_alpha(m)
+        assert qc._exact is None and qc.q[0] == 1.0
+        for h, (num, den) in enumerate(integer_q(m), start=1):
+            if num == 0:
+                assert qc.q[h] == 0.0
+                continue
+            a, b = float(qc.q[h]).as_integer_ratio()
+            # |a/b - num/den| <= (2h + 2) 2**-53 num/den, on integers
+            assert abs(a * den - num * b) * 2**53 <= (2 * h + 2) * num * b
 
 
 def fraction_w_from_q(qx, n):
