@@ -35,7 +35,7 @@ from .cost import CostVector, cost_vector, efficiency, expected_tests_partition
 from .errors import InfeasibleError, PoolPartError, ValidationError
 from .estimate import fit_iid, fit_symmetric
 from .ingest import filter_pools, impute_batches, parse_pools, read_batches, write_batches
-from .model import QCurve, SymmetricModel, check_int, check_uint64
+from .model import QCurve, SymmetricModel, check_int, check_n, check_uint64
 from .model import iid_model, prevalence, q_from_alpha
 from .optimize import (
     MultiplicityFunction,
@@ -186,7 +186,12 @@ def run_experiment(
     laplace: float = 0.0,
 ) -> Experiment:
     """Fit both models to a batch file and evaluate all four strategies."""
-    check_uint64("seed", seed)  # up front: replay runs last, and constant batches draw nothing
+    # up front, before the batches are read: replay, which uses these, runs
+    # last, and constant batches draw nothing
+    check_uint64("seed", seed)
+    check_n(trials, "trials")
+    if max_pool is not None:
+        check_int("max pool size", max_pool)
     with _stage("ingest"):
         batches = read_batches(batches_path)
         for b in batches:
@@ -287,10 +292,20 @@ def _write_json(doc: dict, path: Optional[str]) -> None:
 
 
 def _load_json(path):
-    """Parse a UTF-8 JSON file (BOM skipped); bad JSON raises ValidationError."""
+    """Parse a UTF-8 JSON file (BOM skipped); bad JSON, or a key repeated
+    within one object, raises ValidationError."""
+
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValidationError(f"{path}: invalid JSON: key {key!r} is repeated")
+            doc[key] = value
+        return doc
+
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ValidationError(f"{path}: invalid JSON: {e}") from e
 
@@ -309,6 +324,10 @@ def _load_multiplicity(path) -> MultiplicityFunction:
         counts = {int(i): m for i, m in doc.items()}
     except (TypeError, ValueError) as e:
         raise ValidationError(f"{path}: bad multiplicity entry: {e}") from e
+    if len(counts) < len(doc):
+        keys = sorted(doc, key=int)
+        a, b = next((a, b) for a, b in zip(keys, keys[1:]) if int(a) == int(b))
+        raise ValidationError(f"{path}: multiplicity keys {a!r} and {b!r} name one size, {int(a)}")
     # a count that is not an integer adds nothing here; MultiplicityFunction rejects it
     target = sum(i * m for i, m in counts.items() if isinstance(m, numbers.Integral))
     return MultiplicityFunction(target, counts)

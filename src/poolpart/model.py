@@ -13,20 +13,22 @@ alpha is the canonical form held by SymmetricModel: its entries stay in
 [0, 1] at every population size, while w underflows and q inversion is badly
 conditioned for large n.  QCurve and OutcomeWeights are derived views.
 
-Conversions carry exact rational values alongside the float64 vectors
-whenever n <= _EXACT_LIMIT.  The q -> w recursion subtracts near-equal
-quantities and amplifies rounding in q by roughly 2**n, so float arithmetic
-alone cannot round-trip alpha -> q -> w -> alpha at large n; the rational
-channel makes the round trip exact.  The q -> w recursion runs on integer
-numerators over one common denominator and rounds each w[k] once; a curve
-without the channel is read as the exact dyadic rationals its floats are.
-Both alpha -> q paths use q[h] = sum_k alpha[k] C(n-k,h) / C(n,h).  With
-the channel the sum adds Fractions and divides once.  Without it an
-O(n**2) float recurrence gives the ratios, and q[h] has relative error
-below (2h + 2) * 2**-53.
-Every other conversion reads exact rationals (the channel, else the dyadic
-values of the floats) and rounds each result once, so C(n, k) beyond the
-float range (n >= 1030) does not overflow; a result beyond it raises.
+Every conversion keeps one exactness rule.  It reads its input's exact
+value: the rational channel when the input carries one, else the exact
+dyadic rationals its floats are.  It rounds each result entry once and
+passes the exact result on as the result's channel.  Only w_from_q's clamp
+and renormalization drop the channel, since there the floats stop being
+the rounding of it.  So q <-> w <-> alpha close bit for bit at every n,
+although the q -> w recursion subtracts near-equal quantities and amplifies
+rounding in a float q by roughly 2**n.  That recursion runs on integer
+numerators over one common denominator.  Exact rationals keep C(n, k)
+beyond the float range (n >= 1030) from overflowing; a result beyond it
+raises.
+Both alpha -> q paths use q[h] = sum_k alpha[k] C(n-k,h) / C(n,h), and
+choosing between them is the one cost decision.  For n <= _EXACT_LIMIT the
+sum adds Fractions and divides once.  Above it an O(n**2) float recurrence
+gives the ratios, q[h] has relative error below (2h + 2) * 2**-53, and the
+curve carries no channel, even when the model does.
 
 All values are immutable after construction and safe to share across
 threads.  Sampling takes an explicit seed or generator and keeps no hidden
@@ -61,8 +63,9 @@ __all__ = [
     "substream",
 ]
 
-# Largest n for which conversions keep an exact rational channel.  Beyond
-# this the Fractions get expensive and callers fall back to float paths.
+# Largest n for which iid_model builds its exact binomial and q_from_alpha
+# sums exact rationals.  Beyond this the Fraction sums get expensive, and
+# both compute in floats.
 _EXACT_LIMIT = 100
 
 # Largest numpy index: specimen indices stay at or below it, and numpy
@@ -259,12 +262,6 @@ def _outcome_mass(n: int, w: np.ndarray) -> float:
     return math.fsum(_rounded(terms, f"C(n,k)*w[k] at n = {n}"))
 
 
-def _exact_alpha(m: SymmetricModel) -> ExactVec:
-    if m._exact is None and m.n <= _EXACT_LIMIT:
-        return tuple(map(Fraction, m.alpha.tolist()))
-    return m._exact
-
-
 def iid_model(n: int, prevalence: float) -> SymmetricModel:
     """Binomial-count model: each specimen independently positive with the
     given prevalence.  alpha[k] = C(n,k) p^k (1-p)^(n-k), so q[h] = (1-p)^h.
@@ -297,19 +294,19 @@ def q_from_alpha(m: SymmetricModel) -> QCurve:
 
     Drawing h specimens without replacement from a population with exactly k
     positives leaves all h negative with probability C(n-k,h)/C(n,h), so both
-    paths compute q[h] = sum_k alpha[k] C(n-k,h) / C(n,h).  With the rational
-    channel the sum over the nonzero alpha[k] is exact and divided once.
-    Otherwise r_h[k] = C(n-k,h)/C(n,h) is kept as one float vector that
-    each step multiplies by (n-k-h+1)/(n-h+1): O(n**2) work, O(n) memory
-    and no big integers.  Every factor lies in [0, 1] and each step rounds
-    twice, so r_h[k] has relative error below 2h * 2**-53; `math.fsum` adds
-    the nonnegative terms with one rounding, so q[h] has relative error
-    below (2h + 2) * 2**-53.  No step grows a term, so the float q is
-    nonincreasing, and q[n] = alpha[0] exactly.
+    paths compute q[h] = sum_k alpha[k] C(n-k,h) / C(n,h).  For n <= 100 the
+    sum over the nonzero exact alpha[k] is exact, divided once and carried
+    as the channel.  Above that, channel or not, r_h[k] = C(n-k,h)/C(n,h) is
+    one float vector that each step multiplies by (n-k-h+1)/(n-h+1): O(n**2)
+    work, O(n) memory and no big integers.  Every factor lies in [0, 1] and
+    each step rounds twice, so r_h[k] has relative error below 2h * 2**-53;
+    `math.fsum` adds the nonnegative terms with one rounding, so q[h] has
+    relative error below (2h + 2) * 2**-53.  No step grows a term, so the
+    float q is nonincreasing, and q[n] = alpha[0] exactly.
     """
     n = m.n
-    exact = _exact_alpha(m)
-    if exact is not None:
+    if n <= _EXACT_LIMIT:
+        exact = _rationals(m._exact, m.alpha)
         nz = [(k, x) for k, x in enumerate(exact) if x]
         # Fraction(sum, ...): an empty sum is the int 0, and 0 / C(n, h) a float
         qx = [
@@ -345,16 +342,17 @@ def w_from_q(qc: QCurve) -> OutcomeWeights:
     q[h] is put over one common denominator L = lcm of the denominators,
     the numerators W[k] follow the recursion exactly (coefficients from a
     running Pascal row, zero terms skipped), and each float is rounded once
-    as W[k] / L, which equals float(Fraction(W[k], L)).  With a channel the
-    result carries Fraction(W[k], L), so it matches the Fraction recursion
-    bit for bit.
+    as W[k] / L, which equals float(Fraction(W[k], L)).  The result carries
+    Fraction(W[k], L) as its channel, so it matches the Fraction recursion
+    bit for bit; a clamp or a renormalization drops the channel.
 
     Rounding in a float q is amplified by roughly 2**n here.  Curves
-    produced by q_from_alpha carry exact rationals and invert exactly;
-    float-only curves are trustworthy only at small n.  When a float-only
-    curve reconstructs a negative w[k] that rounding of that size could
-    explain, the error says so.  A W[k] / L that nears the float range
-    raises ValidationError.
+    produced by q_from_alpha at n <= 100 carry exact rationals and invert
+    exactly; other float-only curves are inverted exactly as the dyadic
+    values they hold, which are trustworthy only at small n.  When a
+    float-only curve reconstructs a negative w[k] that rounding of that
+    size could explain, the error says so.  A W[k] / L that nears the float
+    range raises ValidationError.
     """
     n = qc.n
     qx = _rationals(qc._exact, qc.q)
@@ -369,14 +367,14 @@ def w_from_q(qc: QCurve) -> OutcomeWeights:
         if wi[k].bit_length() - den.bit_length() > 1022:
             raise ValidationError(f"q -> w recursion leaves the float range at w[{k}] (n = {n})")
     w = np.array([x / den for x in wi])
-    exact: ExactVec = None if qc._exact is None else tuple(Fraction(x, den) for x in wi)
+    exact: ExactVec = tuple(Fraction(x, den) for x in wi)
 
     bad = [(k, v) for k, v in enumerate(w) if v < _NEG_W_TOL]
     if bad:
         k, v = bad[0]
         note = ""
         # rounding in a float q (2**-53) amplified by 2**n can reach 2**(n - 53)
-        if exact is None and math.log2(-v) < n - 53:
+        if qc._exact is None and math.log2(-v) < n - 53:
             note = (
                 f"; without a rational channel the recursion amplifies rounding in a float "
                 f"q by about 2**{n}, so at n = {n} this may be rounding, not an invalid q"
@@ -405,22 +403,21 @@ def w_from_q(qc: QCurve) -> OutcomeWeights:
 
 def alpha_from_w(ow: OutcomeWeights) -> SymmetricModel:
     """alpha[k] = C(n,k) w[k] from the channel, else the dyadic values of w,
-    rounded once.  The result carries a channel when the input does."""
+    rounded once.  The result carries the exact alpha as its channel."""
     n = ow.n
     ax = tuple(math.comb(n, k) * x for k, x in enumerate(_rationals(ow._exact, ow.w)))
-    return SymmetricModel(n, _rounded(ax, "alpha"), _exact=None if ow._exact is None else ax)
+    return SymmetricModel(n, _rounded(ax, "alpha"), _exact=ax)
 
 
 def w_from_alpha(m: SymmetricModel) -> OutcomeWeights:
-    """w[k] = alpha[k] / C(n,k) from the channel (built from the floats when
-    n <= 100), else the dyadic values of alpha, rounded once.  An alpha whose
-    mass sits where w[k] underflows (e.g. near k = n/2 at n >= 1030) has no
-    float per-outcome form and raises ValidationError."""
+    """w[k] = alpha[k] / C(n,k) from the channel, else the dyadic values of
+    alpha, rounded once.  The result carries the exact w as its channel.  An
+    alpha whose mass sits where w[k] underflows (e.g. near k = n/2 at
+    n >= 1030) has no float per-outcome form and raises ValidationError."""
     n = m.n
-    exact = _exact_alpha(m)
-    wx = tuple(x / math.comb(n, k) for k, x in enumerate(_rationals(exact, m.alpha)))
+    wx = tuple(x / math.comb(n, k) for k, x in enumerate(_rationals(m._exact, m.alpha)))
     try:
-        return OutcomeWeights(n, _rounded(wx, "w"), _exact=None if exact is None else wx)
+        return OutcomeWeights(n, _rounded(wx, "w"), _exact=wx)
     except ValidationError as e:
         raise ValidationError(f"w underflows float64 at n = {n}: {e}") from e
 

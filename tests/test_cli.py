@@ -379,6 +379,49 @@ class TestExactQCalls:
         assert q_calls == [True] * want
 
 
+class TestReportChecksArgumentsFirst:
+    """report rejects a bad trial count or pool-size cap before it reads the
+    batches, fits the models or builds a curve."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                seen.append(name)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr("poolpart.cli.read_batches", spy("read_batches", read_batches))
+        monkeypatch.setattr("poolpart.cli.q_from_alpha", spy("q_from_alpha", q_from_alpha))
+        return seen
+
+    def test_valid_run_reads_then_builds_both_curves(self, capsys, batches_file, calls):
+        assert run(capsys, "report", "--batches", str(batches_file), "--trials", "10")[0] == 0
+        assert calls == ["read_batches", "q_from_alpha", "q_from_alpha"]
+
+    @pytest.mark.parametrize(
+        "flag, value, needle",
+        [
+            ("--trials", "0", "trials must be an integer >= 1, got 0"),
+            ("--trials", str(2**63), f"trials must be below {2**60 - 1}, got {2**63}"),
+            ("--max-pool-size", "0", "max pool size must be an integer >= 1, got 0"),
+        ],
+        ids=["zero-trials", "trials-beyond-shape", "zero-max-pool-size"],
+    )
+    def test_rejected_before_any_work(self, capsys, batches_file, calls, flag, value, needle):
+        assert main(["report", "--batches", str(batches_file), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {needle}\n"
+        assert calls == []
+
+    def test_missing_batches_with_zero_trials_is_a_validation_error(self, capsys, tmp_path):
+        argv = ["report", "--batches", str(tmp_path / "missing.csv"), "--trials", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: trials must be an integer >= 1, got 0\n"
+
+
 def hand_experiment(m_iid, m_sym):
     """An Experiment with no strategy reports, holding each model's curve."""
     return Experiment([], m_iid, m_sym, q_from_alpha(m_iid), q_from_alpha(m_sym))
@@ -513,6 +556,8 @@ class TestMalformedInputs:
             (REPLAY_SEED + ["-5"], CONSTANT_BATCHES_4, "seed"),
             (REPLAY_SEED + [str(2**64)], CONSTANT_BATCHES_4, "seed"),
             (["report", "--batches", "{dir}/missing.csv", "--seed", "-1"], "", "seed"),
+            (OPTIMIZE, '{"n": 1, "alpha": [1.0, 0.0], "alpha": [0.0, 1.0]}', "'alpha' is repeated"),
+            (SIMULATE, json.dumps({"2": 1, "02": 1, "1": 2}), "'2' and '02' name one size"),
         ],
         ids=[
             "mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n",
@@ -527,6 +572,7 @@ class TestMalformedInputs:
             "negative-report-seed-constant-cohort", "report-seed-beyond-uint64-constant-cohort",
             "negative-replay-seed-constant-cohort", "replay-seed-beyond-uint64-constant-cohort",
             "report-seed-checked-before-batches-are-read",
+            "repeated-model-json-key", "multiplicity-keys-naming-one-size",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv, content, needle):

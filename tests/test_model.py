@@ -465,7 +465,8 @@ def representable_dirichlet(n, seed):
 
 class TestOneRoundingFromExactRationals:
     """Without a channel, the binomial conversions read the floats as the
-    exact rationals they are; each entry must equal `scaled` bit for bit."""
+    exact rationals they are; each entry must equal `scaled` bit for bit,
+    and the exact result is passed on as the result's channel."""
 
     @pytest.mark.parametrize("n", [101, 150, 500, 1100])
     def test_float_only_alpha_and_w(self, n):
@@ -473,11 +474,12 @@ class TestOneRoundingFromExactRationals:
         ow = w_from_alpha(m)
         want = [scaled(a, 1, math.comb(n, k)) for k, a in enumerate(m.alpha.tolist())]
         assert ow.w.tobytes() == np.array(want).tobytes()
-        assert ow._exact is None
+        exact_alpha = tuple(map(Fraction, m.alpha.tolist()))
+        assert ow._exact == tuple(a / math.comb(n, k) for k, a in enumerate(exact_alpha))
         back = alpha_from_w(ow)
+        assert back.alpha.tobytes() == m.alpha.tobytes()
+        assert back._exact == exact_alpha
         want = [scaled(x, math.comb(n, k)) for k, x in enumerate(ow.w.tolist())]
-        assert back.alpha.tobytes() == np.array(want).tobytes()
-        assert back._exact is None
         assert _outcome_mass(n, ow.w) == math.fsum(want)
 
     @pytest.mark.parametrize("n", [5, 80, 100])
@@ -486,7 +488,7 @@ class TestOneRoundingFromExactRationals:
         back = alpha_from_w(OutcomeWeights(n, w))
         want = [scaled(x, math.comb(n, k)) for k, x in enumerate(w.tolist())]
         assert back.alpha.tobytes() == np.array(want).tobytes()
-        assert back._exact is None
+        assert back._exact == tuple(math.comb(n, k) * Fraction(x) for k, x in enumerate(w.tolist()))
 
     @pytest.mark.parametrize("n", [101, 500, 1100])
     @pytest.mark.parametrize("p", [0.0, 1.0])
@@ -650,17 +652,24 @@ class TestExactWFromQOracle:
             with pytest.raises(ValidationError, match=re.escape(f"w[{k}] = {float(want[k])!r} <")):
                 w_from_q(qc)
             return
+        clamped = want.min() < 0.0
         want = np.maximum(want, 0.0)
         total = math.fsum(float(math.comb(n, k) * Fraction(x)) for k, x in enumerate(want))
         if abs(total - 1.0) > 1e-9:
             with pytest.raises(ValidationError, match=f"^q does not normalize: .* = {total!r} "):
                 w_from_q(qc)
             return
-        if abs(total - 1.0) > 1e-12:
+        renormalized = abs(total - 1.0) > 1e-12
+        if renormalized:
             want = want / total
         ow = w_from_q(qc)
         assert ow.w.tobytes() == want.tobytes()
-        assert ow._exact is None
+        if clamped or renormalized:  # the floats are no longer the channel's rounding
+            assert ow._exact is None
+            return
+        assert ow._exact == tuple(ref)
+        back = q_from_alpha(alpha_from_w(ow))
+        assert back.q.tobytes() == qc.q.tobytes()
 
     def test_non_dyadic_denominators(self):
         # w with thirds and sevenths; q[h] = sum_k C(n-h,k) w[k]
@@ -719,6 +728,75 @@ class TestRoundTripAtPlanSweepSizes:
         m, qc = exact_model_and_q(family, n)
         back = alpha_from_w(w_from_q(qc))
         assert back.alpha.tobytes() == m.alpha.tobytes()
+
+
+class TestExactRoundTripsAtEveryN:
+    """Each conversion passes on the exact value it computed, so the round
+    trips close bit for bit on both sides of the exact q limit (n = 100)."""
+
+    @pytest.mark.parametrize("n", [101, 150, 500, 1100])
+    @pytest.mark.parametrize("p", [0.005, 0.02])
+    def test_iid_alpha_w_alpha(self, p, n):
+        m = iid_model(n, p)
+        assert m._exact is None
+        ow = w_from_alpha(m)
+        assert alpha_from_w(ow).alpha.tobytes() == m.alpha.tobytes()
+        assert ow._exact is not None
+
+    def test_q_above_the_limit_ignores_a_carried_channel(self):
+        # the exact q sum is a cost decision on n alone
+        m = iid_model(150, 0.02)
+        back = alpha_from_w(w_from_alpha(m))
+        assert back._exact is not None
+        qc = q_from_alpha(back)
+        assert qc._exact is None and qc.q.tobytes() == q_from_alpha(m).q.tobytes()
+
+    def test_float_only_q_w_alpha_q(self):
+        # a fixed grid of Dirichlet count laws; a float-only q that inverts
+        # to a valid w (clamping and renormalizing none here) comes back as is
+        rng = np.random.default_rng(1600)
+        valid = 0
+        for _ in range(120):
+            n = int(rng.integers(1, 40))
+            qc = QCurve(n, q_from_alpha(SymmetricModel(n, rng.dirichlet(np.full(n + 1, 0.5)))).q)
+            try:
+                ow = w_from_q(qc)
+            except ValidationError:
+                continue
+            valid += 1
+            assert ow._exact is not None
+            assert q_from_alpha(alpha_from_w(ow)).q.tobytes() == qc.q.tobytes()
+        assert valid > 90
+
+
+ORACLE_SIZES = [1, 2, 5, 13, 32, 48, 80, 100]
+
+
+class TestRecursionInvertsHypergeometricQ:
+    """The paper's recursion w[k] = q[n-k] - sum_{i<k} C(k,i) w[i] has one
+    solution, and for q[h] = sum_k alpha[k] C(n-k,h) / C(n,h) it is
+    w[k] = alpha[k] / C(n,k): w_from_q(q_from_alpha(m)) is w_from_alpha(m),
+    channel for channel and float for float."""
+
+    @staticmethod
+    def assert_inverts(m, qc):
+        ow, want = w_from_q(qc), w_from_alpha(m)
+        assert ow._exact == want._exact
+        assert ow.w.tobytes() == want.w.tobytes()
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    @pytest.mark.parametrize("family", ["iid", "beta-binomial", "random"])
+    def test_families(self, family, n):
+        self.assert_inverts(*exact_model_and_q(family, n))
+
+    # p = 0.3 stops at n = 48: its exact q at n = 80 and 100 takes about 1 s
+    @pytest.mark.parametrize(
+        "p, n",
+        [(p, n) for p in (0.0, 1.0) for n in ORACLE_SIZES] + [(0.3, n) for n in ORACLE_SIZES[:6]],
+    )
+    def test_iid_prevalences(self, p, n):
+        m = iid_model(n, p)
+        self.assert_inverts(m, q_from_alpha(m))
 
 
 class TestStatusMatrix:
