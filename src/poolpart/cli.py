@@ -35,7 +35,7 @@ from .cost import CostVector, cost_vector, efficiency, expected_tests_partition
 from .errors import InfeasibleError, PoolPartError, ValidationError
 from .estimate import fit_iid, fit_symmetric
 from .ingest import filter_pools, impute_batches, parse_pools, read_batches, write_batches
-from .model import QCurve, SymmetricModel, check_int, check_n, check_uint64
+from .model import QCurve, SymmetricModel, check_int, check_n, check_uint64, parse_uint
 from .model import iid_model, prevalence, q_from_alpha
 from .optimize import (
     MultiplicityFunction,
@@ -321,13 +321,15 @@ def _load_multiplicity(path) -> MultiplicityFunction:
     if not isinstance(doc, dict) or not doc:
         raise ValidationError(f"{path}: expected a nonempty size->count object")
     try:
-        counts = {int(i): m for i, m in doc.items()}
-    except (TypeError, ValueError) as e:
+        counts = {parse_uint(i): m for i, m in doc.items()}
+    except ValueError as e:
         raise ValidationError(f"{path}: bad multiplicity entry: {e}") from e
     if len(counts) < len(doc):
-        keys = sorted(doc, key=int)
-        a, b = next((a, b) for a, b in zip(keys, keys[1:]) if int(a) == int(b))
-        raise ValidationError(f"{path}: multiplicity keys {a!r} and {b!r} name one size, {int(a)}")
+        keys = sorted(doc, key=parse_uint)
+        a, b = next((a, b) for a, b in zip(keys, keys[1:]) if parse_uint(a) == parse_uint(b))
+        raise ValidationError(
+            f"{path}: multiplicity keys {a!r} and {b!r} name one size, {parse_uint(a)}"
+        )
     # a count that is not an integer adds nothing here; MultiplicityFunction rejects it
     target = sum(i * m for i, m in counts.items() if isinstance(m, numbers.Integral))
     return MultiplicityFunction(target, counts)

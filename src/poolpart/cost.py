@@ -75,7 +75,7 @@ class GroupFamily:
     Member order inside a group and group order in the family are preserved;
     a family whose union is the whole population is a pooling.
 
-    Construction also compiles the layout that `tests` tallies with, as
+    Construction also compiles the layout that the tallies read, as
     read-only arrays: `members` holds every member in group order,
     `starts[j]` is the offset of group j in `members`, and `retest[j]` is
     the retest charge of group j when positive, its size, or zero for a
@@ -122,7 +122,11 @@ class GroupFamily:
 
     def tests(self, rows: np.ndarray) -> np.ndarray:
         """Total tests for each row of a (rows x population) 0/1 status
-        matrix.  Specimens in no group are never read."""
+        matrix.  Specimens in no group are never read.
+
+        This is the reference tally: it scans whole outcome rows, for any
+        family.  Monte Carlo and randomized replay tally from their picks
+        instead, and the tests hold them to this."""
         positive = np.maximum.reduceat(rows[:, self.members], self.starts, axis=1)
         return len(self.starts) + positive @ self.retest
 

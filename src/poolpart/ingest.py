@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .model import binary_vector, check_int
+from .model import binary_vector, check_int, parse_uint
 
 __all__ = [
     "PoolRecord",
@@ -127,7 +127,7 @@ def parse_pools(path) -> List[PoolRecord]:
     for line, row in _table(path, _POOL_COLUMNS):
         try:
             try:
-                size = int(row["pool_size"])
+                size = parse_uint(row["pool_size"])
             except ValueError:
                 raise ValidationError(f"bad pool_size {row['pool_size']!r}")
             records.append(
@@ -243,7 +243,7 @@ def read_batches(path) -> List[Batch]:
         if not tokens:
             raise ValidationError(f"{path}: line {line}: empty statuses")
         try:
-            idx = int(row["batch_index"])
+            idx = parse_uint(row["batch_index"])
         except ValueError as e:
             raise ValidationError(
                 f"{path}: line {line}: bad batch_index {row['batch_index']!r}"

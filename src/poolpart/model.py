@@ -90,6 +90,16 @@ def check_int(name: str, v, low: int = 1) -> int:
     return int(v)
 
 
+def parse_uint(text: str) -> int:
+    """A nonnegative integer read from text: ASCII digits, with surrounding
+    whitespace allowed.  int() alone would also take a sign, digit-group
+    underscores and non-ASCII digits.  Raises ValueError otherwise."""
+    s = text.strip()
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"{text!r} is not a nonnegative integer in ASCII digits")
+    return int(s)
+
+
 def check_n(n, name: str = "population size") -> int:
     """Population sizes and trial counts: integers >= 1 below intp max // 8,
     so that numpy can shape a float64 vector of n + 1 entries."""

@@ -5,9 +5,14 @@ over model draws; `empirical_evaluate` replays a pooling design against
 recorded batch statuses, optionally randomizing the specimen-to-pool
 assignment within each batch.
 
-Monte Carlo and replay tally blocks of outcome rows with `GroupFamily.tests`;
-replay stacks and checks its cohort with `model.status_matrix`.
-`run_dorfman`'s per-group loop is the reference the tests hold them to.
+Monte Carlo and randomized replay tally a trial from its picks alone:
+one bincount per block of trials counts the picks in each (trial, group)
+pair, and a pool is positive when it holds a positive.  `GroupFamily.tests`
+scans whole outcome rows; it tallies the stored-order replay and the
+batches whose statuses are all equal, and it is the reference for the
+tally from picks.  Replay stacks and checks its cohort with
+`model.status_matrix`.  `run_dorfman`'s per-group loop is the reference
+the tests hold them to.
 
 Random draws come from counter-based Philox substreams
 `substream(seed, lane, draw)`, one per lane rather than one per trial.
@@ -34,11 +39,12 @@ For the largest uniform, 1 - 2**-53, floor(u * (j + 1)) is j for every
 j + 1 < 2**22 (checked exhaustively), so no pick leaves the population.
 Uniforms are multiples of 2**-53 and the product is rounded once, so each
 of the j + 1 positions is picked with a probability within 2**-52 of
-1 / (j + 1), a relative error below (j + 1) * 2**-52.  The work per trial
-scales with m_t, not with n.
+1 / (j + 1), a relative error below (j + 1) * 2**-52.  The work per trial,
+drawing and tallying alike, scales with m_t, not with n.
 
-Each simulation fills an outcome mask of at most _BLOCK_ELEMENTS cells per
-block of trials (one trial when a row is longer).  The block size bounds
+Each simulation marks its picks in a mask of at most _BLOCK_ELEMENTS cells
+per block of trials (one trial when a row is longer), which Floyd's
+collision rule reads.  The block size bounds
 memory only: every block reads the next values of the same stream, so
 results do not depend on it.  Results are reproducible for a given seed
 and do not depend on execution order.
@@ -68,9 +74,11 @@ __all__ = [
     "summarize_totals",
 ]
 
-# Most outcome-mask cells held at once: each Floyd step is a few numpy calls
-# over a block's rows, so wider blocks make fewer calls.  It bounds memory
-# only; the stream layout in the module docstring fixes every value drawn.
+# Most pick-mask cells held at once; a block's (trial, group) pick counts are
+# at most as many, plus one spare bin per trial.  Each Floyd step is a few
+# numpy calls over a block's rows, so wider blocks make fewer calls.  It
+# bounds memory only; the stream layout in the module docstring fixes every
+# value drawn.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -149,23 +157,27 @@ def summarize_totals(totals: np.ndarray, specimens: int, batches: int = 1) -> Tr
 
 
 def _floyd_picks(rng: np.random.Generator, n: int, picks: np.ndarray) -> np.ndarray:
-    """A (len(picks) x n) bool mask with picks[r] cells set in row r by
-    Floyd's algorithm, from the next picks.sum() uniforms of rng read row
-    by row (see the module docstring)."""
+    """The cells of a row-major (len(picks) x n) mask that Floyd's algorithm
+    picks, picks[r] in row r, from the next picks.sum() uniforms of rng read
+    row by row (see the module docstring).  Pick i of row r is entry
+    sum(picks[:r]) + i, the index of the uniform it read."""
     u = rng.random(int(picks.sum()))
     # in this order the rows still picking at step i are a prefix
     order = np.argsort(-picks, kind="stable")
     live = len(picks) - np.cumsum(np.bincount(picks))[:-1]  # rows with > i picks
-    first = (np.cumsum(picks) - picks)[order]  # each row's first uniform
     row = order * n  # each row's first cell
     span = n - picks[order] + 1  # j + 1 at step 0
-    x = np.zeros((len(picks), n), dtype=bool)
-    cells = x.reshape(-1)
+    # at step 0: each row's first uniform, j + 1, and the cell of j
+    start = np.stack([(np.cumsum(picks) - picks)[order], span, row + span - 1])
+    mask = np.zeros(len(picks) * n, dtype=bool)  # for the collision rule
+    cells = u.view(np.int64)  # each pick overwrites the uniform it read
     for i, a in enumerate(live.tolist()):
-        s = span[:a] + i
-        pos = row[:a] + (u[first[:a] + i] * s).astype(np.intp)
-        cells[np.where(cells[pos], row[:a] + s - 1, pos)] = True
-    return x
+        at, s, j = start[:, :a] + i
+        pos = row[:a] + (u[at] * s).astype(np.intp)
+        pos = np.where(mask[pos], j, pos)
+        mask[pos] = True
+        cells[at] = pos
+    return cells
 
 
 def _subset_totals(
@@ -173,15 +185,33 @@ def _subset_totals(
 ) -> np.ndarray:
     """Total tests per trial when trial t's counts[t] positives among n are
     a uniform subset picked by _floyd_picks from rng, in blocks of whole
-    trials (see the module docstring)."""
+    trials (see the module docstring).
+
+    One bincount per block counts the picks in each (row, group) pair.  A
+    group's positives are its picks, or its members less its picks on a row
+    whose picks are the negatives (a flipped row); the group is positive
+    when they are above 0.  GroupFamily.tests is the reference for this
+    tally."""
     picks = np.minimum(counts, n - counts)
+    flip = counts > picks  # the picks are the negatives
+    groups = len(f.starts)
+    sizes = np.maximum(f.retest, 1)  # a singleton's retest charge is 0
+    group = np.full(n, groups, dtype=np.intp)  # uncovered: a spare bin
+    group[f.members] = np.repeat(np.arange(groups), sizes)
     rows = max(1, _BLOCK_ELEMENTS // n)
     totals = np.empty(len(counts))
     for t0 in range(0, len(counts), rows):
         block = slice(t0, t0 + rows)
-        x = _floyd_picks(rng, n, picks[block])
-        x ^= (counts[block] > picks[block])[:, None]
-        totals[block] = f.tests(x)
+        p = picks[block]
+        cells = _floyd_picks(rng, n, p)
+        cells -= np.repeat(np.arange(0, len(p) * n, n), p)  # each pick's column
+        bins = group[cells]  # each pick's group, then its (row, group) bin
+        bins += np.repeat(np.arange(0, len(p) * (groups + 1), groups + 1), p)
+        count = np.bincount(bins, minlength=len(p) * (groups + 1))
+        count = count.reshape(len(p), groups + 1)[:, :groups]
+        # positives per group: its picks, or on a flipped row its other members
+        np.subtract(sizes, count, out=count, where=flip[block, None])
+        totals[block] = groups + (count > 0) @ f.retest
     return totals
 
 

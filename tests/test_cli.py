@@ -558,6 +558,10 @@ class TestMalformedInputs:
             (["report", "--batches", "{dir}/missing.csv", "--seed", "-1"], "", "seed"),
             (OPTIMIZE, '{"n": 1, "alpha": [1.0, 0.0], "alpha": [0.0, 1.0]}', "'alpha' is repeated"),
             (SIMULATE, json.dumps({"2": 1, "02": 1, "1": 2}), "'2' and '02' name one size"),
+            (SIMULATE, json.dumps({"2_0": 1}), "bad multiplicity entry: '2_0'"),
+            (SIMULATE, json.dumps({"+2": 2}), "bad multiplicity entry: '+2'"),
+            (SIMULATE, json.dumps({"\uff12": 2}), "bad multiplicity entry: '\uff12'"),
+            (FIT, "batch_index,statuses\n0_0,NNPN\n", "bad batch_index '0_0'"),
         ],
         ids=[
             "mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n",
@@ -573,6 +577,8 @@ class TestMalformedInputs:
             "negative-replay-seed-constant-cohort", "replay-seed-beyond-uint64-constant-cohort",
             "report-seed-checked-before-batches-are-read",
             "repeated-model-json-key", "multiplicity-keys-naming-one-size",
+            "underscore-multiplicity-key", "signed-multiplicity-key",
+            "fullwidth-digit-multiplicity-key", "underscore-batch-index",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv, content, needle):
@@ -584,6 +590,18 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
+
+
+def test_padded_multiplicity_key_is_read(capsys, tmp_path):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"n": 4, "alpha": [0.6, 0.2, 0.1, 0.06, 0.04]}))
+    outs = []
+    for key in ("2", " 2 "):
+        mu = tmp_path / "mu.json"
+        mu.write_text(json.dumps({key: 2}))
+        argv = ["--model", str(model), "--multiplicity", str(mu), "--trials", "50", "--seed", "3"]
+        outs.append(run(capsys, "simulate", *argv))
+    assert outs[0][0] == 0 and outs[1] == outs[0]
 
 
 class TestSimulateMatchesLibrary:

@@ -98,6 +98,27 @@ class TestParsePools:
             parse_pools(path)
         assert str(err.value) == f"{path}: 1 malformed row(s):\n  line 2: bad pool_size ''"
 
+    @pytest.mark.parametrize(
+        "size", ["0_4", "\u0664"], ids=["digit-group-underscore", "arabic-indic-four"]
+    )
+    def test_pool_size_is_ascii_digits(self, tmp_path, size):
+        # int() reads both as 4
+        path = tmp_path / "pools.csv"
+        path.write_text(
+            f"pool_id,run_timestamp,pool_size,statuses\na,2020-01-01T00:00:00,{size},NNNN\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError) as err:
+            parse_pools(path)
+        assert str(err.value) == f"{path}: 1 malformed row(s):\n  line 2: bad pool_size {size!r}"
+
+    def test_pool_size_may_be_padded(self, tmp_path):
+        path = tmp_path / "pools.csv"
+        path.write_text(
+            "pool_id,run_timestamp,pool_size,statuses\na,2020-01-01T00:00:00, 4 ,NNNN\n"
+        )
+        assert parse_pools(path)[0].pool_size == 4
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             parse_pools(tmp_path / "absent.csv")
@@ -252,6 +273,19 @@ class TestBatchCsv:
         path.write_text("statuses\nNP\n")
         with pytest.raises(ValidationError, match="batch_index"):
             read_batches(path)
+
+    def test_batch_index_is_ascii_digits(self, tmp_path):
+        # int() reads "0_0" as 0
+        path = tmp_path / "batches.csv"
+        path.write_text("batch_index,statuses\n0_0,NP\n")
+        with pytest.raises(ValidationError) as err:
+            read_batches(path)
+        assert str(err.value) == f"{path}: line 2: bad batch_index '0_0'"
+
+    def test_batch_index_may_be_padded(self, tmp_path):
+        path = tmp_path / "batches.csv"
+        path.write_text("batch_index,statuses\n 4,NP\n")
+        assert read_batches(path)[0].index == 4
 
 
 class TestRecordValidation:

@@ -501,15 +501,33 @@ def four_valued_lane_1(seed, lane, draw):
 
 
 def recorded_rows(monkeypatch):
-    """Every outcome row GroupFamily.tests tallies, in call order."""
-    rows = []
-    tally = GroupFamily.tests
+    """Every outcome row the simulations tally, in call order: the rows
+    GroupFamily.tests scores, and the rows rebuilt from the cells
+    _floyd_picks returns, flipped where the picks are the negatives."""
+    import poolpart.simulate as sim
+
+    rows, counts = [], []
+    tally, subset_totals, floyd_picks = GroupFamily.tests, sim._subset_totals, sim._floyd_picks
 
     def recording_tests(f, block):
         rows.extend(np.asarray(block, dtype=np.uint8))
         return tally(f, block)
 
+    def recording_subset_totals(rng, f, n, k):
+        counts.extend(k.tolist())
+        return subset_totals(rng, f, n, k)
+
+    def recording_picks(rng, n, picks):
+        cells = floyd_picks(rng, n, picks)
+        x = np.zeros(len(picks) * n, dtype=np.uint8)
+        x[cells] = 1
+        flip = [counts.pop(0) > p for p in picks.tolist()]
+        rows.extend(x.reshape(len(picks), n) ^ np.array(flip, dtype=np.uint8)[:, None])
+        return cells
+
     monkeypatch.setattr(GroupFamily, "tests", recording_tests)
+    monkeypatch.setattr(sim, "_subset_totals", recording_subset_totals)
+    monkeypatch.setattr(sim, "_floyd_picks", recording_picks)
     return rows
 
 
@@ -555,6 +573,28 @@ class TestFloydKernel:
         counts = substream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
         assert [int(r.sum()) for r in rows] == counts.tolist()
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("one_row", [False, True])
+    @pytest.mark.parametrize("family", ["singletons", "one-group", "random"])
+    @pytest.mark.parametrize("n", [301, 302])
+    def test_flip_boundary(self, n, family, one_row, monkeypatch):
+        # k = n // 2 and n // 2 + 1 fall on both sides of k <= n - k, so the
+        # picks are the positives on some rows and the negatives on others
+        import poolpart.simulate as sim
+
+        if one_row:  # one row per block, on a tenth of the trials
+            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 0)
+        f = {
+            "singletons": GroupFamily(tuple((i,) for i in range(n))),
+            "one-group": GroupFamily((tuple(range(n)),)),
+            "random": random_family(np.random.default_rng([88, n]), n),
+        }[family]
+        assert family != "random" or f.covered < n  # some specimens in no group
+        alpha = np.bincount([n // 2, n // 2 + 1], weights=[0.5, 0.5], minlength=n + 1)
+        m = SymmetricModel(n, alpha)
+        trials = 30 if one_row else 300
+        got = mc_trial_totals(m, f, trials, 89)
+        assert got.tobytes() == floyd_reference(m, f, trials, 89).tobytes()
 
     @pytest.mark.parametrize("family", ["iid", "clustered"])
     def test_mean_matches_argsort_layout(self, family):
