@@ -15,8 +15,10 @@ Strategies:
     symmetric  cost-optimal partition under the fitted exchangeable model
 
 Option values resolve as flags > POOLPART_* environment variables >
-defaults.  Exit codes: 0 success, 2 validation error or out of memory,
-3 I/O error, 4 infeasible optimization.
+defaults.  Integer flags and variables are read with `model.parse_uint`,
+the rule for integers read from files: ASCII digits only.  Exit codes:
+0 success, 2 validation error or out of memory, 3 I/O error,
+4 infeasible optimization.
 """
 
 from __future__ import annotations
@@ -279,7 +281,25 @@ def _env(name: str, cast, fallback):
     try:
         return cast(raw)
     except ValueError as e:
-        raise ValidationError(f"bad POOLPART_{name} value {raw!r}: {e}") from e
+        raise ValidationError(f"bad POOLPART_{name} value: {e}") from e
+
+
+# argparse keeps these as text and _read_uints reads them after parsing: a
+# type= that raises would print a usage line as well as the error
+_UINT_FLAGS = ("seed", "trials", "batch_size", "n", "max_pool_size", "exclude_size")
+
+
+def _read_uints(args) -> None:
+    """Replace each integer flag's text in args with its parse_uint value."""
+    for name in _UINT_FLAGS:
+        raw = getattr(args, name, None)
+        try:
+            if isinstance(raw, str):
+                setattr(args, name, parse_uint(raw))
+            elif isinstance(raw, list):
+                setattr(args, name, [parse_uint(v) for v in raw])
+        except ValueError as e:
+            raise ValidationError(f"bad --{name.replace('_', '-')} value: {e}") from e
 
 
 def _write_json(doc: dict, path: Optional[str]) -> None:
@@ -467,18 +487,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=True):
-        p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-        if trials:
-            p.add_argument("--trials", type=int, default=_env("TRIALS", int, 10000))
+    def common(p):
+        p.add_argument("--seed", default=_env("SEED", parse_uint, 0))
+        p.add_argument("--trials", default=_env("TRIALS", parse_uint, 10000))
 
     p = sub.add_parser("ingest", help="parse pool records and impute batches")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=int, default=_env("BATCH_SIZE", int, 80))
+    p.add_argument("--batch-size", default=_env("BATCH_SIZE", parse_uint, 80))
     p.add_argument(
         "--exclude-size",
-        type=int,
         action="append",
         default=None,
         help="pool size to drop; repeatable (default: 5)",
@@ -494,11 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="compute a pooling for one strategy")
     p.add_argument("--model", default=None, help="model JSON file")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", default=None)
     p.add_argument("--prevalence", type=float, default=None, help="IID shortcut")
-    p.add_argument(
-        "--max-pool-size", type=int, default=_env("MAX_POOL_SIZE", int, None)
-    )
+    p.add_argument("--max-pool-size", default=_env("MAX_POOL_SIZE", parse_uint, None))
     p.add_argument("--strategy", choices=STRATEGIES, default="symmetric")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_optimize)
@@ -515,10 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full four-strategy comparison")
     p.add_argument("--batches", required=True)
-    p.add_argument("--batch-size", type=int, default=_env("BATCH_SIZE", int, 80))
-    p.add_argument(
-        "--max-pool-size", type=int, default=_env("MAX_POOL_SIZE", int, None)
-    )
+    p.add_argument("--batch-size", default=_env("BATCH_SIZE", parse_uint, 80))
+    p.add_argument("--max-pool-size", default=_env("MAX_POOL_SIZE", parse_uint, None))
     p.add_argument("--laplace", type=float, default=_env("LAPLACE", float, 0.0))
     p.add_argument("--plots-dir", default=None, help="also write alpha/q/U plot CSVs")
     p.add_argument("--out", default=None)
@@ -531,6 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        _read_uints(args)
         return args.func(args)
     except (ValidationError, MemoryError) as e:  # numpy's MemoryError names the size
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)

@@ -122,11 +122,9 @@ class GroupFamily:
 
     def tests(self, rows: np.ndarray) -> np.ndarray:
         """Total tests for each row of a (rows x population) 0/1 status
-        matrix.  Specimens in no group are never read.
-
-        This is the reference tally: it scans whole outcome rows, for any
-        family.  Monte Carlo and randomized replay tally from their picks
-        instead, and the tests hold them to this."""
+        matrix, by a scan of whole rows; specimens in no group are never
+        read.  No simulation calls it: it is the tests' reference for the
+        tally from picks that every simulation runs."""
         positive = np.maximum.reduceat(rows[:, self.members], self.starts, axis=1)
         return len(self.starts) + positive @ self.retest
 

@@ -527,6 +527,7 @@ class TestMalformedInputs:
     REPORT = ["report", "--batches", "{path}", "--batch-size", "4", "--laplace"]
     REPORT_SEED = ["report", "--batches", "{path}", "--batch-size", "4", "--seed"]
     REPLAY_SEED = ["simulate", "--batches", "{path}", "--multiplicity", "{dir}/mu.json", "--seed"]
+    REPLAY = ["simulate", "--batches", "{path}", "--multiplicity", "{dir}/mu.json"]
 
     @pytest.mark.parametrize(
         "argv, content, needle",
@@ -562,6 +563,10 @@ class TestMalformedInputs:
             (SIMULATE, json.dumps({"+2": 2}), "bad multiplicity entry: '+2'"),
             (SIMULATE, json.dumps({"\uff12": 2}), "bad multiplicity entry: '\uff12'"),
             (FIT, "batch_index,statuses\n0_0,NNPN\n", "bad batch_index '0_0'"),
+            (REPLAY + ["--trials", "\u0661\u0660"], BATCHES_4, "bad --trials value"),
+            (REPLAY + ["--trials", "1_0"], BATCHES_4, "bad --trials value"),
+            (REPLAY_SEED + ["+3"], BATCHES_4, "bad --seed value"),
+            (["POOLPART_TRIALS=1_5"] + REPLAY, BATCHES_4, "bad POOLPART_TRIALS value"),
         ],
         ids=[
             "mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n",
@@ -579,9 +584,14 @@ class TestMalformedInputs:
             "repeated-model-json-key", "multiplicity-keys-naming-one-size",
             "underscore-multiplicity-key", "signed-multiplicity-key",
             "fullwidth-digit-multiplicity-key", "underscore-batch-index",
+            "arabic-indic-digit-trials", "underscore-trials", "signed-seed",
+            "underscore-trials-variable",
         ],
     )
-    def test_exit_2_with_one_line(self, capsys, tmp_path, argv, content, needle):
+    def test_exit_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv, content, needle):
+        while argv[0].startswith("POOLPART_"):  # leading NAME=value words set the environment
+            monkeypatch.setenv(*argv[0].split("=", 1))
+            argv = argv[1:]
         path = tmp_path / "input"
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
         (tmp_path / "mu.json").write_text('{"2": 2}')  # a valid design for the n = 4 rows
@@ -602,6 +612,49 @@ def test_padded_multiplicity_key_is_read(capsys, tmp_path):
         argv = ["--model", str(model), "--multiplicity", str(mu), "--trials", "50", "--seed", "3"]
         outs.append(run(capsys, "simulate", *argv))
     assert outs[0][0] == 0 and outs[1] == outs[0]
+
+
+# each integer flag and variable, after a command that would otherwise run
+INTEGER_OPTIONS = {
+    "--seed": TestMalformedInputs.REPLAY,
+    "--trials": TestMalformedInputs.REPLAY,
+    "--batch-size": ["report", "--batches", "{path}"],
+    "--n": ["optimize", "--prevalence", "0.1"],
+    "--max-pool-size": ["optimize", "--prevalence", "0.1", "--n", "4"],
+    "--exclude-size": ["ingest", "--input", "{path}", "--out", "{dir}/b.csv"],
+    "POOLPART_SEED": TestMalformedInputs.REPLAY,
+    "POOLPART_TRIALS": TestMalformedInputs.REPLAY,
+    "POOLPART_BATCH_SIZE": ["report", "--batches", "{path}"],
+    "POOLPART_MAX_POOL_SIZE": ["report", "--batches", "{path}", "--batch-size", "4"],
+}
+
+
+@pytest.mark.parametrize("value", ["+3", "1_0", "\u0663", "3.0"])
+@pytest.mark.parametrize("option", list(INTEGER_OPTIONS))
+def test_integer_options_are_ascii_digits(capsys, tmp_path, monkeypatch, option, value):
+    # the rule for integers read from files holds for flags and variables
+    path = tmp_path / "input"
+    path.write_text(BATCHES_4)
+    (tmp_path / "mu.json").write_text('{"2": 2}')
+    argv = [a.format(path=path, dir=tmp_path) for a in INTEGER_OPTIONS[option]]
+    if option.startswith("POOLPART_"):
+        monkeypatch.setenv(option, value)
+    else:
+        argv += [option, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    rule = "is not a nonnegative integer in ASCII digits"
+    assert err == f"error: bad {option} value: {value!r} {rule}\n"
+
+
+def test_padded_integer_flag_is_read(capsys, tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text(BATCHES_4)
+    (tmp_path / "mu.json").write_text('{"2": 2}')
+    argv = [a.format(path=path, dir=tmp_path) for a in TestMalformedInputs.REPLAY]
+    outs = [run(capsys, *argv, "--trials", t, "--seed", s) for t, s in (("7", "3"), (" 7 ", "3 "))]
+    assert outs[0][0] == 0 and outs[1] == outs[0]
+    assert json.loads(outs[0][1])["trials"] == 7
 
 
 class TestSimulateMatchesLibrary:

@@ -501,33 +501,22 @@ def four_valued_lane_1(seed, lane, draw):
 
 
 def recorded_rows(monkeypatch):
-    """Every outcome row the simulations tally, in call order: the rows
-    GroupFamily.tests scores, and the rows rebuilt from the cells
-    _floyd_picks returns, flipped where the picks are the negatives."""
+    """Every outcome row the simulations tally, in call order, rebuilt from
+    the cells _tally reads and flipped where the picks are the negatives."""
     import poolpart.simulate as sim
 
-    rows, counts = [], []
-    tally, subset_totals, floyd_picks = GroupFamily.tests, sim._subset_totals, sim._floyd_picks
+    rows, tally = [], sim._tally
 
-    def recording_tests(f, block):
-        rows.extend(np.asarray(block, dtype=np.uint8))
-        return tally(f, block)
+    def recording_tally(f, group, counts, blocks):
+        n, blocks = len(group), list(blocks)
+        for block, cells in blocks:
+            k = counts[block]
+            x = np.zeros(len(k) * n, dtype=np.uint8)
+            x[cells] = 1
+            rows.extend(x.reshape(len(k), n) ^ (k > n - k)[:, None].astype(np.uint8))
+        return tally(f, group, counts, blocks)
 
-    def recording_subset_totals(rng, f, n, k):
-        counts.extend(k.tolist())
-        return subset_totals(rng, f, n, k)
-
-    def recording_picks(rng, n, picks):
-        cells = floyd_picks(rng, n, picks)
-        x = np.zeros(len(picks) * n, dtype=np.uint8)
-        x[cells] = 1
-        flip = [counts.pop(0) > p for p in picks.tolist()]
-        rows.extend(x.reshape(len(picks), n) ^ np.array(flip, dtype=np.uint8)[:, None])
-        return cells
-
-    monkeypatch.setattr(GroupFamily, "tests", recording_tests)
-    monkeypatch.setattr(sim, "_subset_totals", recording_subset_totals)
-    monkeypatch.setattr(sim, "_floyd_picks", recording_picks)
+    monkeypatch.setattr(sim, "_tally", recording_tally)
     return rows
 
 
@@ -695,11 +684,46 @@ class TestReplayKernel:
         batches = [(np.arange(n) < k).astype(np.uint8) for k in ks]
         empirical_trial_totals(batches, MultiplicityFunction(n, {n: 1}), True, 40, 87)
         spec = np.arange(n)
-        want = []
+        want = [spec < k for k in ks if k in (0, n)]  # constant batches, tallied once, first
         for k in ks:
-            row = np.where(k <= n - k, spec >= n - k, spec < k)
-            want += [row] * (1 if k in (0, n) else 40)  # a constant batch is tallied once
+            if k not in (0, n):
+                want += [np.where(k <= n - k, spec >= n - k, spec < k)] * 40
         assert np.array_equal(np.array(rows), np.array(want, dtype=np.uint8))
+
+    def test_stored_order_matches_row_scan(self):
+        from poolpart.model import status_matrix
+
+        rng = np.random.default_rng(90)
+        kinds = Counter()
+        for case in range(40):
+            n = 1 + case * 119 // 39  # 1 to 120
+            mu, batches = random_multiplicity(rng, n), random_cohort(rng, n)
+            k = np.array([int(row.sum()) for row in batches])
+            kinds.update({"neg": (k == 0).sum(), "pos": (k == n).sum(), "flip": (2 * k > n).sum()})
+            f = pooling_from_multiplicity(mu, range(n))
+            want = f.tests(status_matrix(batches, n)).sum()
+            assert empirical_trial_totals(batches, mu, False, 1, case).tolist() == [want]
+        assert min(kinds.values()) >= 10
+
+
+def test_no_simulation_calls_the_row_scan(monkeypatch, tmp_path):
+    # GroupFamily.tests is the tests' reference; every simulation tallies picks
+    from poolpart.cli import main
+
+    def row_scan(f, rows):
+        raise AssertionError("GroupFamily.tests called")
+
+    monkeypatch.setattr(GroupFamily, "tests", row_scan)
+    m, mu = iid_model(12, 0.3), MultiplicityFunction(12, {3: 2, 2: 3})
+    mc_trial_totals(m, blocks(12, 4), 300, 91)
+    rows = ["NNNNNNNNNNNN", "PPPPPPPPPPPP", "NNPNNNNNPNNN", "PPNPPPPPPNPP"]
+    batches = [np.array([c == "P" for c in r], dtype=np.uint8) for r in rows]
+    for randomize in (False, True):
+        empirical_trial_totals(batches, mu, randomize, 300, 91)
+    path = tmp_path / "b.csv"
+    path.write_text("batch_index,statuses\n" + "".join(f"{i},{r}\n" for i, r in enumerate(rows)))
+    argv = ["report", "--batches", str(path), "--batch-size", "12", "--trials", "50"]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
 
 
 def variance_from_q(q, f):
