@@ -15,8 +15,11 @@ Strategies:
     symmetric  cost-optimal partition under the fitted exchangeable model
 
 Option values resolve as flags > POOLPART_* environment variables >
-defaults.  Integer flags and variables are read with `model.parse_uint`,
-the rule for integers read from files: ASCII digits only.  Exit codes:
+defaults, after parsing and for the running command's options only: a
+variable is read only by a command that has its flag, and a flag wins even
+over a malformed variable.  Integers are read with `model.parse_uint`, the
+rule for integers read from files (ASCII digits only), and floats with
+`model.parse_real` (float() less non-ASCII text and '_').  Exit codes:
 0 success, 2 validation error or out of memory, 3 I/O error,
 4 infeasible optimization.
 """
@@ -37,8 +40,8 @@ from .cost import CostVector, cost_vector, efficiency, expected_tests_partition
 from .errors import InfeasibleError, PoolPartError, ValidationError
 from .estimate import fit_iid, fit_symmetric
 from .ingest import filter_pools, impute_batches, parse_pools, read_batches, write_batches
-from .model import QCurve, SymmetricModel, check_int, check_n, check_uint64, parse_uint
-from .model import iid_model, prevalence, q_from_alpha
+from .model import QCurve, SymmetricModel, check_int, check_n, check_uint64, parse_real
+from .model import iid_model, parse_uint, prevalence, q_from_alpha
 from .optimize import (
     MultiplicityFunction,
     dorfman_infinite_size,
@@ -274,32 +277,34 @@ def emit_model_analysis(exp: Experiment, out_dir) -> List[str]:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get("POOLPART_" + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as e:
-        raise ValidationError(f"bad POOLPART_{name} value: {e}") from e
+# every option read from text, by dest: (reader, POOLPART_ variable or None,
+# default).  argparse keeps the flag's text and _read_options reads it after
+# parsing: a type= that raises would print a usage block as well as the error
+_OPTIONS = {
+    "seed": (parse_uint, "SEED", 0),
+    "trials": (parse_uint, "TRIALS", 10000),
+    "batch_size": (parse_uint, "BATCH_SIZE", 80),
+    "n": (parse_uint, None, None),
+    "max_pool_size": (parse_uint, "MAX_POOL_SIZE", None),
+    "exclude_size": (lambda texts: [parse_uint(t) for t in texts], None, (5,)),
+    "laplace": (parse_real, "LAPLACE", 0.0),
+    "prevalence": (parse_real, None, None),
+}
 
 
-# argparse keeps these as text and _read_uints reads them after parsing: a
-# type= that raises would print a usage line as well as the error
-_UINT_FLAGS = ("seed", "trials", "batch_size", "n", "max_pool_size", "exclude_size")
-
-
-def _read_uints(args) -> None:
-    """Replace each integer flag's text in args with its parse_uint value."""
-    for name in _UINT_FLAGS:
-        raw = getattr(args, name, None)
-        try:
-            if isinstance(raw, str):
-                setattr(args, name, parse_uint(raw))
-            elif isinstance(raw, list):
-                setattr(args, name, [parse_uint(v) for v in raw])
-        except ValueError as e:
-            raise ValidationError(f"bad --{name.replace('_', '-')} value: {e}") from e
+def _read_options(args) -> None:
+    """Set each option the running command has: its reader's value of the
+    flag's text, else of its variable's text, else its default."""
+    for dest, (read, var, default) in _OPTIONS.items():
+        if hasattr(args, dest):
+            raw, source = getattr(args, dest), "--" + dest.replace("_", "-")
+            if raw is None and var is not None:
+                source = "POOLPART_" + var
+                raw = os.environ.get(source)
+            try:
+                setattr(args, dest, default if raw is None else read(raw))
+            except ValueError as e:
+                raise ValidationError(f"bad {source} value: {e}") from e
 
 
 def _write_json(doc: dict, path: Optional[str]) -> None:
@@ -358,8 +363,7 @@ def _load_multiplicity(path) -> MultiplicityFunction:
 def _cmd_ingest(args) -> int:
     records = parse_pools(args.input)
     specimens_in = sum(r.pool_size for r in records)
-    excluded = set(args.exclude_size) if args.exclude_size else {5}
-    kept, dropped = filter_pools(records, excluded)
+    kept, dropped = filter_pools(records, set(args.exclude_size))
     batches, remainder = impute_batches(kept, args.batch_size)
     write_batches(args.out, batches)
     _write_json(
@@ -488,13 +492,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", default=_env("SEED", parse_uint, 0))
-        p.add_argument("--trials", default=_env("TRIALS", parse_uint, 10000))
+        p.add_argument("--seed")
+        p.add_argument("--trials")
 
     p = sub.add_parser("ingest", help="parse pool records and impute batches")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", default=_env("BATCH_SIZE", parse_uint, 80))
+    p.add_argument("--batch-size")
     p.add_argument(
         "--exclude-size",
         action="append",
@@ -506,15 +510,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a model to a batch file")
     p.add_argument("--input", required=True)
     p.add_argument("--family", choices=("iid", "symmetric"), default="symmetric")
-    p.add_argument("--laplace", type=float, default=_env("LAPLACE", float, 0.0))
+    p.add_argument("--laplace")
     p.add_argument("--out", default=None, help="model JSON path (default: stdout)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("optimize", help="compute a pooling for one strategy")
     p.add_argument("--model", default=None, help="model JSON file")
-    p.add_argument("--n", default=None)
-    p.add_argument("--prevalence", type=float, default=None, help="IID shortcut")
-    p.add_argument("--max-pool-size", default=_env("MAX_POOL_SIZE", parse_uint, None))
+    p.add_argument("--n")
+    p.add_argument("--prevalence", help="IID shortcut")
+    p.add_argument("--max-pool-size")
     p.add_argument("--strategy", choices=STRATEGIES, default="symmetric")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_optimize)
@@ -531,9 +535,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full four-strategy comparison")
     p.add_argument("--batches", required=True)
-    p.add_argument("--batch-size", default=_env("BATCH_SIZE", parse_uint, 80))
-    p.add_argument("--max-pool-size", default=_env("MAX_POOL_SIZE", parse_uint, None))
-    p.add_argument("--laplace", type=float, default=_env("LAPLACE", float, 0.0))
+    p.add_argument("--batch-size")
+    p.add_argument("--max-pool-size")
+    p.add_argument("--laplace")
     p.add_argument("--plots-dir", default=None, help="also write alpha/q/U plot CSVs")
     p.add_argument("--out", default=None)
     common(p)
@@ -545,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _read_uints(args)
+        _read_options(args)
         return args.func(args)
     except (ValidationError, MemoryError) as e:  # numpy's MemoryError names the size
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)

@@ -100,6 +100,16 @@ def parse_uint(text: str) -> int:
     return int(s)
 
 
+def parse_real(text: str) -> float:
+    """A float read from text, with surrounding whitespace allowed: what
+    float() reads less non-ASCII text and '_', which float() alone would
+    take ("0_1" reads as 1.0, "١" as 1.0).  Raises ValueError otherwise."""
+    s = text.strip()
+    if not s.isascii() or "_" in s:
+        raise ValueError(f"{text!r} is not a number in ASCII characters without '_'")
+    return float(s)
+
+
 def check_n(n, name: str = "population size") -> int:
     """Population sizes and trial counts: integers >= 1 below intp max // 8,
     so that numpy can shape a float64 vector of n + 1 entries."""

@@ -657,6 +657,87 @@ def test_padded_integer_flag_is_read(capsys, tmp_path):
     assert json.loads(outs[0][1])["trials"] == 7
 
 
+# each float flag and variable, after a command that would otherwise run
+REPORT_4 = ["report", "--batches", "{path}", "--batch-size", "4", "--trials", "5"]
+REAL_OPTIONS = {
+    "fit-flag": ("--laplace", TestMalformedInputs.FIT),
+    "report-flag": ("--laplace", REPORT_4),
+    "optimize-flag": ("--prevalence", ["optimize", "--n", "4"]),
+    "fit-variable": ("POOLPART_LAPLACE", TestMalformedInputs.FIT),
+    "report-variable": ("POOLPART_LAPLACE", REPORT_4),
+}
+
+
+@pytest.mark.parametrize("value", ["0_1", "\u0661", "\u0660\u066b\u0661"])
+@pytest.mark.parametrize("option, argv", REAL_OPTIONS.values(), ids=list(REAL_OPTIONS))
+def test_real_options_are_ascii_without_underscores(
+    capsys, tmp_path, monkeypatch, option, argv, value
+):
+    # float() alone would read "0_1" as 1.0 and "\u0661" as 1.0
+    path = tmp_path / "input"
+    path.write_text(BATCHES_4)
+    argv = [a.format(path=path) for a in argv]
+    if option.startswith("POOLPART_"):
+        monkeypatch.setenv(option, value)
+    else:
+        argv += [option, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad {option} value: {value!r} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["1e-3", " 0.1 "])
+@pytest.mark.parametrize("option", ["--prevalence", "--laplace", "POOLPART_LAPLACE"])
+def test_real_option_text_is_read(capsys, tmp_path, monkeypatch, option, text):
+    path = tmp_path / "input"
+    path.write_text(BATCHES_4)
+    argv = ["optimize", "--n", "8"] if option == "--prevalence" else ["fit", "--input", str(path)]
+    outs = []
+    for value in (text, repr(float(text))):
+        if option.startswith("POOLPART_"):
+            monkeypatch.setenv(option, value)
+            outs.append(run(capsys, *argv))
+        else:
+            outs.append(run(capsys, *argv, option, value))
+    assert outs[0][0] == 0 and outs[1] == outs[0]
+
+
+# a valid flag for each POOLPART_ variable
+VARIABLE_FLAGS = {
+    "POOLPART_SEED": ["--seed", "3"],
+    "POOLPART_TRIALS": ["--trials", "5"],
+    "POOLPART_BATCH_SIZE": ["--batch-size", "4"],
+    "POOLPART_MAX_POOL_SIZE": ["--max-pool-size", "2"],
+    "POOLPART_LAPLACE": ["--laplace", "0.5"],
+}
+# a valid run of each command, and the variables whose flags it has
+COMMANDS = {
+    "ingest": (["ingest", "--input", "{pools}", "--out", "{dir}/b.csv"], ["POOLPART_BATCH_SIZE"]),
+    "fit": (TestMalformedInputs.FIT, ["POOLPART_LAPLACE"]),
+    "optimize": (["optimize", "--n", "4", "--prevalence", "0.1"], ["POOLPART_MAX_POOL_SIZE"]),
+    "simulate": (TestMalformedInputs.REPLAY, ["POOLPART_SEED", "POOLPART_TRIALS"]),
+    "report": (["report", "--batches", "{path}"], list(VARIABLE_FLAGS)),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("variable", list(VARIABLE_FLAGS))
+def test_malformed_variable_is_not_read(
+    capsys, tmp_path, monkeypatch, pools_file, variable, command
+):
+    # a command without the variable's flag never reads the variable, and a
+    # command with it is given the flag, which wins: output as without it
+    path = tmp_path / "input"
+    path.write_text(BATCHES_4)
+    (tmp_path / "mu.json").write_text('{"2": 2}')
+    argv, variables = COMMANDS[command]
+    argv = [a.format(path=path, dir=tmp_path, pools=pools_file) for a in argv]
+    argv += [a for v in variables for a in VARIABLE_FLAGS[v]]
+    plain = run(capsys, *argv)
+    monkeypatch.setenv(variable, "x")
+    assert plain[0] == 0 and run(capsys, *argv) == plain
+
+
 class TestSimulateMatchesLibrary:
     def test_json_and_per_trial_csv_match_library(self, capsys, batches_file, tmp_path):
         from poolpart import (

@@ -721,6 +721,29 @@ class TestFloatOnlyNegativeW:
         assert "rounding" not in str(err.value)
 
 
+class TestExactQChannelIdentities:
+    """The values of the exact q channel, entry for entry, which any other
+    form of the exact sum must keep."""
+
+    @pytest.mark.parametrize("n", [1, 13, 48, 80, 100])
+    def test_iid_channel_is_the_binomial_closed_form(self, n):
+        # exact_model_and_q's IID model has p = 0.02: q[h] = (1 - p)**h
+        assert exact_model_and_q("iid", n)[1]._exact == tuple(
+            (1 - Fraction(0.02)) ** h for h in range(n + 1)
+        )
+
+    @pytest.mark.parametrize("n", [1, 13, 48, 80, 100])
+    @pytest.mark.parametrize("family", ["beta-binomial", "random"])
+    def test_channel_less_alpha_sums_its_floats(self, family, n):
+        m, qc = exact_model_and_q(family, n)
+        assert m._exact is None
+        assert qc._exact[1:] == tuple(Fraction(num, den) for num, den in integer_q(m))
+        # q[0]'s channel is the sum of the alpha floats, which is not 1,
+        # while the float q[0] is set to 1.0
+        total = sum(map(Fraction, m.alpha.tolist()))
+        assert qc._exact[0] == total and total != 1 and qc.q[0] == 1.0
+
+
 class TestRoundTripAtPlanSweepSizes:
     @pytest.mark.parametrize("n", [80, 100])
     @pytest.mark.parametrize("family", ["iid", "beta-binomial"])
