@@ -68,7 +68,6 @@ from .simulate import (
 )
 from .cli import (
     Experiment,
-    StrategyReport,
     emit_model_analysis,
     run_experiment,
     strategy_multiplicity,

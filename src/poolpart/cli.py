@@ -48,16 +48,9 @@ from .optimize import (
     dp_solve,
     pooling_from_multiplicity,
 )
-from .simulate import (
-    TrialSummary,
-    empirical_evaluate,
-    empirical_trial_totals,
-    mc_trial_totals,
-    summarize_totals,
-)
+from .simulate import empirical_evaluate, empirical_trial_totals, mc_trial_totals, summarize_totals
 
 __all__ = [
-    "StrategyReport",
     "Experiment",
     "strategy_multiplicity",
     "run_experiment",
@@ -66,53 +59,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("team8", "dorfman", "iid", "symmetric")
-
-
-@dataclass(frozen=True)
-class StrategyReport:
-    """One strategy's pooling and its evaluations for a single batch size.
-
-    theoretical_tests is computed under the fitted exchangeable model and
-    iid_tests under the fitted IID model; each efficiency is the batch size
-    over those tests.
-    """
-
-    strategy: str
-    multiplicity: MultiplicityFunction
-    theoretical_tests: float
-    iid_tests: float
-    empirical_randomized: TrialSummary
-    empirical_deterministic: TrialSummary
-
-    @property
-    def theoretical_efficiency(self) -> float:
-        return efficiency(self.multiplicity.target, self.theoretical_tests)
-
-    @property
-    def iid_efficiency(self) -> float:
-        return efficiency(self.multiplicity.target, self.iid_tests)
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "multiplicity": {str(i): m for i, m in self.multiplicity.counts},
-            "num_pools": self.multiplicity.num_parts,
-            "max_pool": self.multiplicity.max_part,
-            "theoretical": {
-                "symmetric": {
-                    "expected_tests": self.theoretical_tests,
-                    "efficiency": self.theoretical_efficiency,
-                },
-                "iid": {
-                    "expected_tests": self.iid_tests,
-                    "efficiency": self.iid_efficiency,
-                },
-            },
-            "empirical": {
-                "randomized": self.empirical_randomized.to_dict(),
-                "deterministic": self.empirical_deterministic.to_dict(),
-            },
-        }
 
 
 @contextlib.contextmanager
@@ -173,9 +119,13 @@ def strategy_multiplicity(
 
 @dataclass(frozen=True, eq=False)
 class Experiment:
-    """The four strategy reports, the fitted models and the q curves they used."""
+    """The fitted models, the q curves the plans used, and the four strategy
+    reports.  Each report is the strategy's report.json entry, a dict: its
+    multiplicity, pool count and largest pool, its expected tests and
+    efficiency under each fitted model ("theoretical"), and its replay
+    summaries, randomized and in stored order ("empirical")."""
 
-    reports: List[StrategyReport]
+    reports: List[dict]
     m_iid: SymmetricModel
     m_sym: SymmetricModel
     q_iid: QCurve
@@ -219,8 +169,13 @@ def run_experiment(
             cv = cv_iid if name == "iid" else cv_sym
             mu = strategy_multiplicity(name, batch_size, p_iid, cv, max_pool)
             pools = pooling_from_multiplicity(mu, range(batch_size))
-            t_sym = expected_tests_partition(cv_sym, pools)
-            t_iid = expected_tests_partition(cv_iid, pools)
+            theoretical = {
+                family: {"expected_tests": t, "efficiency": efficiency(mu.target, t)}
+                for family, t in (
+                    ("symmetric", expected_tests_partition(cv_sym, pools)),
+                    ("iid", expected_tests_partition(cv_iid, pools)),
+                )
+            }
         if mu.counts not in replays:
             with _stage(f"simulate[{name}]"):
                 replays[mu.counts] = (
@@ -229,14 +184,17 @@ def run_experiment(
                 )
         randomized, deterministic = replays[mu.counts]
         reports.append(
-            StrategyReport(
-                strategy=name,
-                multiplicity=mu,
-                theoretical_tests=t_sym,
-                iid_tests=t_iid,
-                empirical_randomized=randomized,
-                empirical_deterministic=deterministic,
-            )
+            {
+                "strategy": name,
+                "multiplicity": {str(i): m for i, m in mu.counts},
+                "num_pools": mu.num_parts,
+                "max_pool": mu.max_part,
+                "theoretical": theoretical,
+                "empirical": {
+                    "randomized": randomized.to_dict(),
+                    "deterministic": deterministic.to_dict(),
+                },
+            }
         )
     return Experiment(reports, m_iid, m_sym, q_iid, q_sym)
 
@@ -415,8 +373,10 @@ def _cmd_optimize(args) -> int:
             raise ValidationError("without --model, both --n and --prevalence are required")
         n = args.n
         m = iid_model(n, args.prevalence)
-    p = args.prevalence if args.prevalence is not None else prevalence(m)
-    m_iid = m if args.model is None else iid_model(n, p)
+    # only iid plans under the IID model of m, and only dorfman reads its prevalence
+    m_iid = m
+    if args.model is not None and args.strategy in ("iid", "dorfman"):
+        m_iid = iid_model(n, prevalence(m))
     cv = cost_vector(q_from_alpha(m))
     cv_plan = cost_vector(q_from_alpha(m_iid)) if args.strategy == "iid" and m_iid is not m else cv
     mu = strategy_multiplicity(args.strategy, n, prevalence(m_iid), cv_plan, args.max_pool_size)
@@ -476,7 +436,7 @@ def _cmd_report(args) -> int:
         "batch_size": args.batch_size,
         "trials": args.trials,
         "seed": args.seed,
-        "strategies": [r.to_dict() for r in exp.reports],
+        "strategies": exp.reports,
     }
     if args.plots_dir:
         doc["plots"] = emit_model_analysis(exp, args.plots_dir)

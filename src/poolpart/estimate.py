@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import SymmetricModel, iid_model, status_matrix
+from .model import SymmetricModel, check_int, check_int_vector, check_n, iid_model, status_matrix
 
 __all__ = [
     "EmpiricalCounts",
@@ -38,12 +38,15 @@ class EmpiricalCounts:
     total_batches: int
 
     def __post_init__(self):
-        h = np.asarray(self.histogram, dtype=int).copy()
+        object.__setattr__(self, "n", check_n(self.n))
+        total = check_int("total_batches", self.total_batches, 0)
+        object.__setattr__(self, "total_batches", total)
+        h = check_int_vector("histogram", self.histogram)
         if h.ndim != 1 or h.shape[0] != self.n + 1:
             raise ValidationError(f"histogram must have length n+1 = {self.n + 1}")
         if np.any(h < 0):
             raise ValidationError("histogram entries must be nonnegative")
-        if int(h.sum()) != self.total_batches:
+        if int(h.sum()) != total:
             raise ValidationError("histogram must sum to total_batches")
         h.setflags(write=False)
         object.__setattr__(self, "histogram", h)

@@ -1,6 +1,7 @@
 """Read pooled-testing records and impute fixed-size batches.
 
-Input CSV schema (header required, extra columns ignored):
+Input CSV schema (header required, naming each of these columns once; extra
+columns ignored):
 
     pool_id,run_timestamp,pool_size,statuses
 
@@ -30,7 +31,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .model import binary_vector, check_int, parse_uint
+from .model import _is_int, binary_vector, check_int, parse_uint
 
 __all__ = [
     "PoolRecord",
@@ -59,6 +60,8 @@ class PoolRecord:
     statuses: str
 
     def __post_init__(self):
+        if not _is_int(self.pool_size):
+            raise ValidationError(f"pool_size must be an integer, got {self.pool_size!r}")
         if self.pool_size < 1:
             raise ValidationError(f"pool_size must be >= 1, got {self.pool_size}")
         if len(self.statuses) != self.pool_size:
@@ -104,7 +107,8 @@ def _parse_timestamp(text: str) -> Optional[datetime]:
 
 def _table(path, columns: Sequence[str]) -> Iterator[Tuple[int, Dict[str, str]]]:
     """Yield (line number, row) for each record of a UTF-8 CSV whose header
-    holds `columns`.  A byte order mark is skipped, a short row reads its
+    holds each of `columns` once; csv.DictReader would read a repeated
+    column's last field.  A byte order mark is skipped, a short row reads its
     missing fields as empty, and bytes that are not UTF-8 raise
     ValidationError."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -114,6 +118,9 @@ def _table(path, columns: Sequence[str]) -> Iterator[Tuple[int, Dict[str, str]]]
             missing = [c for c in columns if c not in header]
             if missing:
                 raise ValidationError(f"{path}: missing column(s) {missing}; header is {header}")
+            repeated = [c for c in columns if header.count(c) > 1]
+            if repeated:
+                raise ValidationError(f"{path}: repeated column(s) {repeated}; header is {header}")
             for row in reader:
                 yield reader.line_num, row
         except UnicodeDecodeError as e:

@@ -90,6 +90,19 @@ def check_int(name: str, v, low: int = 1) -> int:
     return int(v)
 
 
+def check_int_vector(name: str, values) -> np.ndarray:
+    """Integer arrays: an int copy of values, whose entries must be integers
+    or integral floats within int64, never booleans; a cast alone would read
+    0.7 as 0 and True as 1."""
+    a = np.asarray(values)
+    integral = a.dtype.kind in "iu" or (
+        a.dtype.kind == "f" and bool(np.all(np.isfinite(a) & (a == np.trunc(a))))
+    )
+    if not integral or (a.size and not -(2**63) <= int(a.min()) <= int(a.max()) < 2**63):
+        raise ValidationError(f"{name} entries must be integers")
+    return a.astype(int)
+
+
 def parse_uint(text: str) -> int:
     """A nonnegative integer read from text: ASCII digits, with surrounding
     whitespace allowed.  int() alone would also take a sign, digit-group

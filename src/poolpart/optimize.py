@@ -23,7 +23,7 @@ import numpy as np
 
 from .cost import CostVector, GroupFamily
 from .errors import InfeasibleError, ValidationError
-from .model import check_int
+from .model import check_int, check_int_vector
 
 __all__ = [
     "MultiplicityFunction",
@@ -90,7 +90,7 @@ class ValueTable:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).copy()
-        ch = np.asarray(self.choices, dtype=int).copy()
+        ch = check_int_vector("choices", self.choices)
         if v.ndim != 1 or ch.shape != v.shape:
             raise ValidationError("values and choices must be 1-d and equally long")
         if v[0] != 0.0:

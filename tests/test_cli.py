@@ -211,6 +211,28 @@ class TestOptimizeCommand:
         doc = json.loads(out)
         assert sum(int(i) * m for i, m in doc["multiplicity"].items()) == 1000
 
+    @pytest.mark.parametrize(
+        "strategy, want", [("team8", 0), ("dorfman", 1), ("iid", 1), ("symmetric", 0)]
+    )
+    def test_model_builds_iid_model_only_when_read(
+        self, capsys, batches_file, tmp_path, monkeypatch, strategy, want
+    ):
+        # iid plans under the IID model of the file's model, dorfman reads its
+        # prevalence; team8 and symmetric read neither
+        from poolpart import cli
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return iid_model(*args)
+
+        monkeypatch.setattr(cli, "iid_model", counted)
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(fit_symmetric(read_batches(batches_file)).to_dict()))
+        assert run(capsys, "optimize", "--model", str(model_path), "--strategy", strategy)[0] == 0
+        assert len(calls) == want
+
     def test_model_and_prevalence_conflict(self, capsys, tmp_path):
         model_path = tmp_path / "m.json"
         model_path.write_text(json.dumps(iid_model(4, 0.2).to_dict()))
@@ -288,6 +310,35 @@ class TestReportCommand:
             assert best <= other + 1e-12 * other
         for name in ("alpha.csv", "q.csv", "u.csv"):
             assert (plots / name).exists()
+
+    def test_strategy_entry_schema(self, capsys, batches_file, tmp_path):
+        out_path = tmp_path / "report.json"
+        code, _ = run(
+            capsys, "report", "--batches", str(batches_file), "--trials", "20",
+            "--seed", "2", "--out", str(out_path),
+        )
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        assert set(doc) == {"batch_size", "trials", "seed", "strategies"}
+        summary_keys = {
+            "trials", "mean_tests", "std_error", "mean_efficiency", "efficiency_std_error",
+        }
+        for s in doc["strategies"]:
+            assert set(s) == {
+                "strategy", "multiplicity", "num_pools", "max_pool", "theoretical", "empirical",
+            }
+            counts = {int(i): m for i, m in s["multiplicity"].items()}
+            assert sum(i * m for i, m in counts.items()) == 80
+            assert s["num_pools"] == sum(counts.values())
+            assert s["max_pool"] == max(counts)
+            assert set(s["theoretical"]) == {"symmetric", "iid"}
+            for family in s["theoretical"].values():
+                assert set(family) == {"expected_tests", "efficiency"}
+            iid = s["theoretical"]["iid"]
+            assert abs(iid["efficiency"] - 80 / iid["expected_tests"]) < 1e-12
+            assert set(s["empirical"]) == {"randomized", "deterministic"}
+            for summary in s["empirical"].values():
+                assert set(summary) == summary_keys
 
     def test_env_variable_supplies_default(self, capsys, batches_file, tmp_path, monkeypatch):
         monkeypatch.setenv("POOLPART_TRIALS", "9")
@@ -486,6 +537,12 @@ NON_UTF8_POOLS = (
 )
 
 
+REPEATED_STATUSES_POOLS = (
+    "pool_id,run_timestamp,pool_size,statuses,statuses\n"
+    "a,2024-01-01T00:00:00,8,NNNNNNNN,PPPPPPPP\n"
+)
+
+
 BATCHES_4 = "batch_index,statuses\n0,NNPN\n1,NNNN\n"
 CONSTANT_BATCHES_4 = "batch_index,statuses\n0,NNNN\n1,PPPP\n"
 
@@ -567,6 +624,8 @@ class TestMalformedInputs:
             (REPLAY + ["--trials", "1_0"], BATCHES_4, "bad --trials value"),
             (REPLAY_SEED + ["+3"], BATCHES_4, "bad --seed value"),
             (["POOLPART_TRIALS=1_5"] + REPLAY, BATCHES_4, "bad POOLPART_TRIALS value"),
+            (FIT, "batch_index,statuses,statuses\n0,NNPN,PPPP\n", "repeated column(s)"),
+            (INGEST, REPEATED_STATUSES_POOLS, "repeated column(s) ['statuses']"),
         ],
         ids=[
             "mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n",
@@ -585,7 +644,8 @@ class TestMalformedInputs:
             "underscore-multiplicity-key", "signed-multiplicity-key",
             "fullwidth-digit-multiplicity-key", "underscore-batch-index",
             "arabic-indic-digit-trials", "underscore-trials", "signed-seed",
-            "underscore-trials-variable",
+            "underscore-trials-variable", "repeated-batch-csv-column",
+            "repeated-pool-csv-column",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv, content, needle):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_alpha
 from poolpart import (
+    EmpiricalCounts,
     SymmetricModel,
     ValidationError,
     empirical_counts,
@@ -43,6 +44,27 @@ class TestEmpiricalCounts:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             empirical_counts([])
+
+
+class TestEmpiricalCountsIntegers:
+    """n, the histogram and total_batches are read as integers, never cast."""
+
+    def test_fractional_histogram(self):
+        with pytest.raises(ValidationError, match="histogram entries must be integers"):
+            EmpiricalCounts(1, [0.7, 1.6], 1)
+
+    def test_boolean_n(self):
+        with pytest.raises(ValidationError, match="must be an integer >= 1, got True"):
+            EmpiricalCounts(True, [1, 0], 1)
+
+    def test_integral_floats_and_numpy_integers_are_read(self):
+        ec = EmpiricalCounts(np.int64(1), np.array([1.0, 2.0]), 3)
+        assert ec.n == 1 and type(ec.n) is int
+        assert ec.histogram.tolist() == [1, 2]
+
+    def test_negative_entry_keeps_its_message(self):
+        with pytest.raises(ValidationError, match="histogram entries must be nonnegative"):
+            EmpiricalCounts(1, [2, -1], 1)
 
 
 class TestFitSymmetric:

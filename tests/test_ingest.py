@@ -274,6 +274,11 @@ class TestBatchCsv:
         with pytest.raises(ValidationError, match="batch_index"):
             read_batches(path)
 
+    def test_repeated_extra_column_is_ignored(self, tmp_path):
+        path = tmp_path / "batches.csv"
+        path.write_text("note,batch_index,statuses,note\na,0,NNPN,b\n")
+        assert read_batches(path)[0].statuses.tolist() == [0, 0, 1, 0]
+
     def test_batch_index_is_ascii_digits(self, tmp_path):
         # int() reads "0_0" as 0
         path = tmp_path / "batches.csv"
@@ -292,6 +297,16 @@ class TestRecordValidation:
     def test_size_status_mismatch(self):
         with pytest.raises(ValidationError):
             PoolRecord("x", T0, 3, "NN")
+
+    @pytest.mark.parametrize("size, statuses", [(2.0, "NN"), (True, "N")])
+    def test_size_must_be_an_integer(self, size, statuses):
+        # a float size would pass the length check, then fail in impute_batches
+        with pytest.raises(ValidationError, match="pool_size must be an integer"):
+            PoolRecord("a", T0, size, statuses)
+
+    def test_size_below_one_keeps_its_message(self):
+        with pytest.raises(ValidationError, match=r"pool_size must be >= 1, got 0"):
+            PoolRecord("a", T0, 0, "")
 
     def test_unknown_token(self):
         with pytest.raises(ValidationError, match="unknown status"):

@@ -236,6 +236,13 @@ class TestValueTable:
         with pytest.raises(ValidationError):
             ValueTable(np.array([1.0, 2.0]), np.array([0, 1]))
 
+    def test_fractional_choice(self):
+        with pytest.raises(ValidationError, match="choices entries must be integers"):
+            ValueTable([0.0, 1.0], [0, 1.9])
+
+    def test_integral_choices_are_read(self):
+        assert ValueTable([0.0, 1.0], [0.0, 1.0]).choices.tolist() == [0, 1]
+
 
 def scalar_dp(cv, target, tie_rtol=1e-12):
     """dp_solve's table as a two-pass scalar loop: the minimum first, then
