@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import _MAX_INDEX, QCurve, _is_int, check_int, check_n
+from .model import _MAX_INDEX, QCurve, _is_int, check_int, check_n, check_real
 
 __all__ = [
     "CostVector",
@@ -157,6 +157,7 @@ def expected_tests_partition(cv: CostVector, f: GroupFamily) -> float:
 
 
 def efficiency(n: int, expected_tests: float) -> float:
+    expected_tests = check_real("expected tests", expected_tests)
     if not expected_tests > 0.0:
         raise ValidationError(f"expected tests must be positive, got {expected_tests!r}")
     return n / expected_tests

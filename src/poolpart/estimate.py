@@ -17,7 +17,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import SymmetricModel, check_int, check_int_vector, check_n, iid_model, status_matrix
+from .model import (
+    SymmetricModel,
+    check_int,
+    check_int_vector,
+    check_n,
+    check_real,
+    iid_model,
+    status_matrix,
+)
 
 __all__ = [
     "EmpiricalCounts",
@@ -62,7 +70,7 @@ def empirical_counts(batches: Sequence) -> EmpiricalCounts:
 def _smoothed_total(observed: int, laplace: float, cells: int) -> float:
     """observed + laplace * cells, the denominator of a smoothed frequency.
     A laplace that overflows it would divide inf by inf, so it is rejected."""
-    total = observed + float(laplace) * cells
+    total = observed + laplace * cells
     if not math.isfinite(total):
         raise ValidationError(
             f"laplace {laplace!r} is too large: the smoothed total "
@@ -77,6 +85,7 @@ def fit_symmetric(batches: Sequence, laplace: float = 0.0) -> SymmetricModel:
     Optional additive smoothing (laplace > 0) keeps downstream q curves away
     from hard zeros; the default is the raw, possibly non-monotone histogram.
     """
+    laplace = check_real("laplace", laplace)
     if not (math.isfinite(laplace) and laplace >= 0):
         raise ValidationError(f"laplace must be finite and >= 0, got {laplace!r}")
     ec = empirical_counts(batches)
@@ -88,6 +97,7 @@ def fit_symmetric(batches: Sequence, laplace: float = 0.0) -> SymmetricModel:
 def fit_iid(batches: Sequence, laplace: float = 0.0) -> SymmetricModel:
     """MLE within the IID subfamily: prevalence = pooled positive fraction,
     smoothed toward 1/2 by `laplace` pseudo-counts per status."""
+    laplace = check_real("laplace", laplace)
     if not (math.isfinite(laplace) and laplace >= 0):
         raise ValidationError(f"laplace must be finite and >= 0, got {laplace!r}")
     data = status_matrix(batches)

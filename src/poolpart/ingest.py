@@ -50,6 +50,15 @@ INCONCLUSIVE = "I"
 
 _POOL_COLUMNS = ("pool_id", "run_timestamp", "pool_size", "statuses")
 _BATCH_COLUMNS = ("batch_index", "statuses")
+_TOKENS = bytes.maketrans(b"\x00\x01", (NEGATIVE + POSITIVE).encode("ascii"))
+
+
+def _statuses(tokens: str) -> np.ndarray:
+    return np.frombuffer(tokens.encode("ascii"), np.uint8) == ord(POSITIVE)
+
+
+def _tokens(statuses: np.ndarray) -> str:
+    return statuses.tobytes().translate(_TOKENS).decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,7 @@ class Batch:
     source_pools: Tuple[str, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "index", check_int("batch index", self.index, 0))
         object.__setattr__(self, "statuses", binary_vector(self.statuses))
         object.__setattr__(self, "source_pools", tuple(self.source_pools))
 
@@ -199,14 +209,18 @@ def impute_batches(
     """Slice timestamp-ordered specimens into fixed-size batches.
 
     Returns the batches and the size of the discarded trailing remainder.
-    Every record must carry a timestamp (run filter_pools first).
+    Every record must carry a timestamp and no inconclusive status (run
+    filter_pools first).
     """
     batch_size = check_int("batch_size", batch_size)
     for r in records:
         if r.run_timestamp is None:
-            raise ValidationError(
-                f"pool {r.pool_id!r} has no timestamp; filter before imputing"
-            )
+            problem = "has no timestamp"
+        elif r.has_inconclusive:
+            problem = "has an inconclusive status"
+        else:
+            continue
+        raise ValidationError(f"pool {r.pool_id!r} {problem}; filter before imputing")
     aware = {r.run_timestamp.tzinfo is not None: r for r in records}
     if len(aware) == 2:
         raise ValidationError(
@@ -214,30 +228,22 @@ def impute_batches(
             f"offset-aware (pool {aware[True].pool_id!r}) values, which cannot be ordered"
         )
     ordered = sorted(records, key=lambda r: r.run_timestamp)
-
-    statuses: List[int] = []
-    owners: List[str] = []
-    for r in ordered:
-        statuses.extend(1 if ch == POSITIVE else 0 for ch in r.statuses)
-        owners.extend([r.pool_id] * r.pool_size)
-
-    batches = []
-    full = len(statuses) // batch_size
-    for b in range(full):
-        lo, hi = b * batch_size, (b + 1) * batch_size
-        sources = tuple(dict.fromkeys(owners[lo:hi]))  # unique, order kept
-        batches.append(Batch(b, np.array(statuses[lo:hi], dtype=np.uint8), sources))
-    remainder = len(statuses) - full * batch_size
-    return batches, remainder
+    statuses = _statuses("".join(r.statuses for r in ordered))
+    starts = np.arange(0, statuses.size - batch_size + 1, batch_size)
+    ends = np.cumsum([r.pool_size for r in ordered])  # pool i holds the specimens before ends[i]
+    bounds = np.searchsorted(ends, [starts, starts + batch_size - 1], side="right").tolist()
+    ids = [r.pool_id for r in ordered]
+    return [
+        Batch(b, statuses[s : s + batch_size], tuple(dict.fromkeys(ids[lo : hi + 1])))
+        for b, (s, lo, hi) in enumerate(zip(starts.tolist(), *bounds))
+    ], statuses.size % batch_size
 
 
 def write_batches(path, batches: Sequence[Batch]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_BATCH_COLUMNS)
-        for b in batches:
-            tokens = "".join(POSITIVE if v else NEGATIVE for v in b.statuses)
-            writer.writerow([b.index, tokens])
+        writer.writerows([b.index, _tokens(b.statuses)] for b in batches)
 
 
 def read_batches(path) -> List[Batch]:
@@ -255,6 +261,5 @@ def read_batches(path) -> List[Batch]:
             raise ValidationError(
                 f"{path}: line {line}: bad batch_index {row['batch_index']!r}"
             ) from e
-        values = np.fromiter((tok == POSITIVE for tok in tokens), dtype=np.uint8)
-        batches.append(Batch(idx, values))
+        batches.append(Batch(idx, _statuses(tokens)))
     return batches

@@ -90,6 +90,14 @@ def check_int(name: str, v, low: int = 1) -> int:
     return int(v)
 
 
+def check_real(name: str, v) -> float:
+    """Prevalences, smoothing weights and expected counts: a non-boolean real
+    number, as float; float() alone would also read '0.1' and True."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        raise ValidationError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
 def check_int_vector(name: str, values) -> np.ndarray:
     """Integer arrays: an int copy of values, whose entries must be integers
     or integral floats within int64, never booleans; a cast alone would read
@@ -300,7 +308,7 @@ def iid_model(n: int, prevalence: float) -> SymmetricModel:
     given prevalence.  alpha[k] = C(n,k) p^k (1-p)^(n-k), so q[h] = (1-p)^h.
     """
     n = check_n(n)
-    p = float(prevalence)
+    p = check_real("prevalence", prevalence)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"prevalence must lie in [0, 1], got {p!r}")
     if n <= _EXACT_LIMIT:

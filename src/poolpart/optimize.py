@@ -23,7 +23,7 @@ import numpy as np
 
 from .cost import CostVector, GroupFamily
 from .errors import InfeasibleError, ValidationError
-from .model import check_int, check_int_vector
+from .model import check_int, check_int_vector, check_real
 
 __all__ = [
     "MultiplicityFunction",
@@ -194,7 +194,7 @@ def dorfman_infinite_size(prevalence: float, s_max: int = 100) -> int:
     returns 1 when no pooled size beats individual testing.  Ties go to the
     smallest size.
     """
-    p = float(prevalence)
+    p = check_real("prevalence", prevalence)
     if not 0.0 < p < 1.0:
         raise ValidationError(f"prevalence must lie strictly in (0, 1), got {p!r}")
     s_max = check_int("s_max", s_max, 2)

@@ -229,6 +229,45 @@ class TestImputeBatches:
             assert latest[i] <= earliest[i + 1] or latest[i] <= latest[i + 1]
 
 
+    def test_inconclusive_input_rejected(self):
+        # an I token was once read as a negative
+        with pytest.raises(ValidationError) as err:
+            impute_batches([rec("a", 0, "NINP")], 4)
+        assert str(err.value) == "pool 'a' has an inconclusive status; filter before imputing"
+
+    @pytest.mark.parametrize(
+        "pools, batch_size",
+        [
+            ([("a", 2, 3), ("b", 0, 5), ("c", 1, 3)], 4),  # pools straddle batch boundaries
+            ([("a", 0, 2), ("long", 1, 11), ("b", 2, 3)], 4),  # one pool longer than two batches
+            ([("a", 0, 2), ("a", 1, 3), ("b", 2, 2), ("a", 3, 1)], 2),  # adjacent pools share an id
+            ([("a", 0, 3), ("b", 0, 1), ("c", 0, 2)], 1),  # batch size 1, timestamp ties
+            ([], 3),  # no records
+            ([("a", 0, 7), ("b", 1, 6)], 5),  # a remainder of 3
+        ],
+        ids=["straddle", "long-pool", "shared-id", "batch-size-1", "empty", "remainder"],
+    )
+    def test_matches_per_specimen_reference(self, pools, batch_size):
+        rng = np.random.default_rng(22)
+        records = [
+            rec(pid, minutes, "".join(rng.choice(["N", "P"], size)))
+            for pid, minutes, size in pools
+        ]
+        # the per-specimen slicing impute_batches replaced, kept as its reference
+        statuses, owners = [], []
+        for r in sorted(records, key=lambda r: r.run_timestamp):
+            statuses.extend(1 if ch == "P" else 0 for ch in r.statuses)
+            owners.extend([r.pool_id] * r.pool_size)
+        full = len(statuses) // batch_size
+        spans = [slice(b * batch_size, (b + 1) * batch_size) for b in range(full)]
+        want = [(b, statuses[s], tuple(dict.fromkeys(owners[s]))) for b, s in enumerate(spans)]
+
+        batches, remainder = impute_batches(records, batch_size)
+        assert remainder == len(statuses) - full * batch_size
+        assert [(b.index, b.statuses.tolist(), b.source_pools) for b in batches] == want
+        assert all(b.statuses.dtype == np.uint8 for b in batches)
+
+
 class TestBatchCsv:
     def test_roundtrip(self, tmp_path):
         batches = [
@@ -311,6 +350,13 @@ class TestRecordValidation:
     def test_unknown_token(self):
         with pytest.raises(ValidationError, match="unknown status"):
             PoolRecord("x", T0, 2, "NZ")
+
+    @pytest.mark.parametrize(
+        "index", ["x", -3, True, 1.5], ids=["str", "negative", "bool", "float"]
+    )
+    def test_batch_index_is_a_nonnegative_integer(self, index):
+        with pytest.raises(ValidationError, match="batch index must be an integer >= 0"):
+            Batch(index, [0, 1])
 
     def test_batch_must_be_binary(self):
         with pytest.raises(ValidationError):

@@ -16,6 +16,10 @@ from poolpart import (
     SymmetricModel,
     ValidationError,
     alpha_from_w,
+    dorfman_infinite_size,
+    efficiency,
+    fit_iid,
+    fit_symmetric,
     iid_model,
     marginal_zero_bruteforce,
     prevalence,
@@ -519,6 +523,60 @@ class TestIntegerSizes:
             CostVector(np.int64(2), [np.nan, 1.0, 2.0]),
         ):
             assert type(v.n) is int
+
+
+def _real_entry_points():
+    cohort = [np.array([0, 1, 0, 0]), np.array([1, 1, 0, 0])]
+    return {
+        "iid_model": lambda v: iid_model(3, v).alpha.tolist(),
+        "dorfman_infinite_size": dorfman_infinite_size,
+        "fit_iid": lambda v: fit_iid(cohort, laplace=v).alpha.tolist(),
+        "fit_symmetric": lambda v: fit_symmetric(cohort, laplace=v).alpha.tolist(),
+        "efficiency": lambda v: efficiency(8, v),
+    }
+
+
+class TestRealScalars:
+    """Prevalence, laplace and expected_tests are read by one rule,
+    model.check_real: a non-boolean real number."""
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            pytest.param(entry, value, id=f"{entry}-{kind}")
+            for entry, kind, value in [
+                ("iid_model", "str", "0.1"),
+                ("iid_model", "bool", True),
+                ("iid_model", "numpy-bool", np.bool_(True)),
+                ("iid_model", "complex", 0.1j),
+                ("iid_model", "none", None),
+                ("dorfman_infinite_size", "str", "0.1"),
+                ("dorfman_infinite_size", "none", None),
+                ("fit_iid", "str", "1"),
+                ("fit_iid", "bool", True),
+                ("fit_symmetric", "str", "1"),
+                ("fit_symmetric", "bool", True),
+                ("efficiency", "str", "2"),
+                ("efficiency", "bool", True),
+            ]
+        ],
+    )
+    def test_non_real_is_rejected(self, entry, value):
+        with pytest.raises(ValidationError, match="must be a real number, got "):
+            _real_entry_points()[entry](value)
+
+    @pytest.mark.parametrize("entry", ["iid_model", "fit_iid", "fit_symmetric", "efficiency"])
+    @pytest.mark.parametrize(
+        "value", [np.float32(0.25), np.float64(0.25), Fraction(1, 4), np.int64(1)],
+        ids=["float32", "float64", "fraction", "int64"],
+    )
+    def test_numpy_and_rational_scalars_read_as_floats(self, entry, value):
+        call = _real_entry_points()[entry]
+        assert call(value) == call(float(value))
+
+    def test_dorfman_reads_numpy_floats(self):
+        call = _real_entry_points()["dorfman_infinite_size"]
+        assert call(np.float32(0.01624)) == call(float(np.float32(0.01624)))
 
 
 class TestPopulationSizeCheck:
