@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import _MAX_INDEX, QCurve, _is_int, check_int, check_n, check_real
+from .model import _MAX_INDEX, QCurve, _is_int, check_int, check_n, check_real, check_real_vector
 
 __all__ = [
     "CostVector",
@@ -52,7 +52,7 @@ class CostVector:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_n(self.n))
-        v = np.asarray(self.c, dtype=float).copy()
+        v = check_real_vector("c", self.c)
         if v.ndim != 1 or v.shape[0] < 2 or v.shape[0] > self.n + 1:
             raise ValidationError(
                 f"c must cover sizes 1..m with 1 <= m <= {self.n}, got shape {v.shape}"
@@ -130,7 +130,8 @@ class GroupFamily:
 
 
 def expected_tests_group(qc: QCurve, h: int) -> float:
-    if not 1 <= h <= qc.n:
+    h = check_int("group size", h)
+    if h > qc.n:
         raise ValidationError(f"group size must lie in [1, {qc.n}], got {h}")
     if h == 1:
         return 1.0
@@ -157,6 +158,7 @@ def expected_tests_partition(cv: CostVector, f: GroupFamily) -> float:
 
 
 def efficiency(n: int, expected_tests: float) -> float:
+    n = check_int("population size", n)
     expected_tests = check_real("expected tests", expected_tests)
     if not expected_tests > 0.0:
         raise ValidationError(f"expected tests must be positive, got {expected_tests!r}")

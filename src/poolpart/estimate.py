@@ -19,9 +19,9 @@ import numpy as np
 from .errors import ValidationError
 from .model import (
     SymmetricModel,
+    _checked_vector,
     check_int,
     check_int_vector,
-    check_n,
     check_real,
     iid_model,
     status_matrix,
@@ -46,18 +46,13 @@ class EmpiricalCounts:
     total_batches: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", check_n(self.n))
+        h = _checked_vector(self, "histogram", check_int_vector)
         total = check_int("total_batches", self.total_batches, 0)
         object.__setattr__(self, "total_batches", total)
-        h = check_int_vector("histogram", self.histogram)
-        if h.ndim != 1 or h.shape[0] != self.n + 1:
-            raise ValidationError(f"histogram must have length n+1 = {self.n + 1}")
         if np.any(h < 0):
             raise ValidationError("histogram entries must be nonnegative")
         if int(h.sum()) != total:
             raise ValidationError("histogram must sum to total_batches")
-        h.setflags(write=False)
-        object.__setattr__(self, "histogram", h)
 
 
 def empirical_counts(batches: Sequence) -> EmpiricalCounts:
@@ -79,15 +74,21 @@ def _smoothed_total(observed: int, laplace: float, cells: int) -> float:
     return total
 
 
+def _laplace(laplace) -> float:
+    """The smoothing weight, a finite real number >= 0."""
+    laplace = check_real("laplace", laplace)
+    if not (math.isfinite(laplace) and laplace >= 0):
+        raise ValidationError(f"laplace must be finite and >= 0, got {laplace!r}")
+    return laplace
+
+
 def fit_symmetric(batches: Sequence, laplace: float = 0.0) -> SymmetricModel:
     """MLE over all exchangeable models: alpha[k] = count-k frequency.
 
     Optional additive smoothing (laplace > 0) keeps downstream q curves away
     from hard zeros; the default is the raw, possibly non-monotone histogram.
     """
-    laplace = check_real("laplace", laplace)
-    if not (math.isfinite(laplace) and laplace >= 0):
-        raise ValidationError(f"laplace must be finite and >= 0, got {laplace!r}")
+    laplace = _laplace(laplace)
     ec = empirical_counts(batches)
     total = _smoothed_total(ec.total_batches, laplace, ec.n + 1)
     alpha = (ec.histogram.astype(float) + laplace) / total
@@ -97,9 +98,7 @@ def fit_symmetric(batches: Sequence, laplace: float = 0.0) -> SymmetricModel:
 def fit_iid(batches: Sequence, laplace: float = 0.0) -> SymmetricModel:
     """MLE within the IID subfamily: prevalence = pooled positive fraction,
     smoothed toward 1/2 by `laplace` pseudo-counts per status."""
-    laplace = check_real("laplace", laplace)
-    if not (math.isfinite(laplace) and laplace >= 0):
-        raise ValidationError(f"laplace must be finite and >= 0, got {laplace!r}")
+    laplace = _laplace(laplace)
     data = status_matrix(batches)
     p = (float(data.sum()) + laplace) / _smoothed_total(data.size, laplace, 2)
     return iid_model(data.shape[1], p)

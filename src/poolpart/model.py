@@ -90,19 +90,50 @@ def check_int(name: str, v, low: int = 1) -> int:
     return int(v)
 
 
+def _is_real(t: type) -> bool:
+    """A real number type that is not boolean: float(True) would read 1.0."""
+    return issubclass(t, numbers.Real) and not issubclass(t, bool)
+
+
 def check_real(name: str, v) -> float:
     """Prevalences, smoothing weights and expected counts: a non-boolean real
-    number, as float; float() alone would also read '0.1' and True."""
-    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+    number in the float range, as float; float() alone would also read '0.1'
+    and True."""
+    if not _is_real(type(v)):
         raise ValidationError(f"{name} must be a real number, got {v!r}")
-    return float(v)
+    return _rounded([v], name)[0]
+
+
+def _real_array(name: str, values) -> np.ndarray:
+    """values as an array whose entries are all non-boolean real numbers.
+    Only an int or float array is taken as it is; anything else is checked
+    entry by entry, since numpy reads [True, 0.5] as floats."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values
+    try:
+        types = set(map(type, np.array(values, dtype=object).flat))
+    except ValueError as e:  # nested arrays numpy cannot shape
+        raise ValidationError(f"{name} must be an array of numbers: {e}") from e
+    bad = sorted(t.__name__ for t in types if not _is_real(t))
+    if bad:
+        raise ValidationError(f"{name} entries must be real numbers, not {', '.join(bad)}")
+    return np.asarray(values)  # int or float, else objects such as Fraction
+
+
+def check_real_vector(name: str, values) -> np.ndarray:
+    """Float arrays: a float copy of values, whose entries must be real
+    numbers in the float range, never strings, booleans or None."""
+    a = _real_array(name, values)
+    if a.dtype.kind == "O":
+        a = np.array(_rounded(a.flat, name)).reshape(a.shape)
+    return a.astype(float)
 
 
 def check_int_vector(name: str, values) -> np.ndarray:
     """Integer arrays: an int copy of values, whose entries must be integers
     or integral floats within int64, never booleans; a cast alone would read
     0.7 as 0 and True as 1."""
-    a = np.asarray(values)
+    a = _real_array(name, values)
     integral = a.dtype.kind in "iu" or (
         a.dtype.kind == "f" and bool(np.all(np.isfinite(a) & (a == np.trunc(a))))
     )
@@ -140,12 +171,12 @@ def check_n(n, name: str = "population size") -> int:
     return n
 
 
-def _checked_vector(obj, name: str) -> np.ndarray:
-    """Store obj.n as a checked int and obj.<name> as a read-only float copy
-    of length n + 1 with finite entries; return that copy."""
+def _checked_vector(obj, name: str, read=check_real_vector) -> np.ndarray:
+    """Store obj.n as a checked int and obj.<name> as a read-only copy, read
+    by `read`, of length n + 1 with finite entries; return that copy."""
     n = check_n(obj.n)
     object.__setattr__(obj, "n", n)
-    out = np.asarray(getattr(obj, name), dtype=float).copy()
+    out = read(name, getattr(obj, name))
     if out.ndim != 1 or out.shape[0] != n + 1:
         raise ValidationError(f"{name} must have length n+1 = {n + 1}, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
@@ -161,7 +192,8 @@ def _rationals(exact: ExactVec, v: np.ndarray):
 
 
 def _rounded(xs, name: str) -> list:
-    """Each exact rational in xs rounded once to a float."""
+    """Each real number in xs, such as an exact rational, rounded once to a
+    float."""
     try:
         return [float(x) for x in xs]
     except OverflowError as e:
@@ -190,24 +222,10 @@ class SymmetricModel:
     @classmethod
     def from_dict(cls, d: dict) -> "SymmetricModel":
         try:
-            n = d["n"]
-            alpha = d["alpha"]
+            n, alpha = d["n"], d["alpha"]
         except (KeyError, TypeError) as e:
             raise ValidationError(f"model document needs keys 'n' and 'alpha': {e}") from e
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValidationError(f"model 'n' must be an integer, got {n!r}")
-        if not isinstance(alpha, (list, tuple, np.ndarray)):
-            raise ValidationError(
-                f"model 'alpha' must be a list of numbers, got {type(alpha).__name__}"
-            )
-        for a in alpha:
-            if isinstance(a, bool) or not isinstance(a, numbers.Real):
-                raise ValidationError(f"model 'alpha' entries must be numbers, got {a!r}")
-        try:
-            alpha = np.asarray(alpha, dtype=float)
-        except OverflowError as e:  # an integer beyond the float range
-            raise ValidationError(f"model 'alpha' entries must be floats: {e}") from e
-        return cls(int(n), alpha)
+        return cls(n, alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,7 +489,8 @@ def marginal_zero_bruteforce(m: SymmetricModel, h: int) -> float:
     n = m.n
     if n > 16:
         raise ValidationError(f"brute-force marginal is limited to n <= 16, got n = {n}")
-    if not 0 <= h <= n:
+    h = check_int("group size", h, 0)
+    if h > n:
         raise ValidationError(f"group size must lie in [0, {n}], got {h}")
     w = [float(m.alpha[k]) / math.comb(n, k) for k in range(n + 1)]
     mask = (1 << h) - 1

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cost import CostVector, GroupFamily
 from .errors import InfeasibleError, ValidationError
-from .model import check_int, check_int_vector, check_real
+from .model import check_int, check_int_vector, check_real, check_real_vector
 
 __all__ = [
     "MultiplicityFunction",
@@ -89,10 +89,12 @@ class ValueTable:
     choices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).copy()
+        v = check_real_vector("values", self.values)
         ch = check_int_vector("choices", self.choices)
-        if v.ndim != 1 or ch.shape != v.shape:
-            raise ValidationError("values and choices must be 1-d and equally long")
+        if v.ndim != 1 or ch.shape != v.shape or not v.size:
+            raise ValidationError("values and choices must be 1-d, nonempty and equally long")
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("values contains non-finite entries")
         if v[0] != 0.0:
             raise ValidationError(f"values[0] must be 0, got {v[0]!r}")
         v.setflags(write=False)

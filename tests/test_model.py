@@ -578,6 +578,104 @@ class TestRealScalars:
         call = _real_entry_points()["dorfman_infinite_size"]
         assert call(np.float32(0.01624)) == call(float(np.float32(0.01624)))
 
+    @pytest.mark.parametrize("entry", list(_real_entry_points()))
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), Fraction(10**400)], ids=["int", "negative-int", "fraction"]
+    )
+    def test_beyond_float_range_is_rejected(self, entry, value):
+        # float() raises OverflowError on these
+        with pytest.raises(ValidationError, match="leaves the float range: "):
+            _real_entry_points()[entry](value)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{call}-{value!r}")
+        for call, values in [
+            ("efficiency", [True, -8, "8", 8.5]),
+            ("expected_tests_group", [2.5, True, "2"]),
+            ("marginal_zero_bruteforce", [2.5, True, "2"]),
+        ]
+        for value in values
+    ],
+)
+def test_integer_scalars_are_read_by_check_int(call, value):
+    from poolpart import expected_tests_group
+
+    m = iid_model(4, 0.1)
+    calls = {
+        "efficiency": lambda n: efficiency(n, 2.0),
+        "expected_tests_group": lambda h: expected_tests_group(q_from_alpha(m), h),
+        "marginal_zero_bruteforce": lambda h: marginal_zero_bruteforce(m, h),
+    }
+    with pytest.raises(ValidationError, match="must be an integer >= "):
+        calls[call](value)
+
+
+def _vector_constructors():
+    """Each public type that holds a numeric vector: a function of that
+    vector returning the stored copy, and a valid vector with 1 at index 1,
+    where the bad entries go (a CostVector's c[0] is padding)."""
+    from poolpart import CostVector, EmpiricalCounts, ValueTable
+
+    return {
+        "SymmetricModel": (lambda v: SymmetricModel(2, v).alpha, [0, 1, 0]),
+        "QCurve": (lambda v: QCurve(2, v).q, [1, 1, 1]),
+        "OutcomeWeights": (lambda v: OutcomeWeights(1, v).w, [0, 1]),
+        "CostVector": (lambda v: CostVector(2, v).c, [0, 1, 2]),
+        "ValueTable": (lambda v: ValueTable(v, [0, 1, 1]).values, [0, 1, 2]),
+        "EmpiricalCounts": (lambda v: EmpiricalCounts(2, v, 4).histogram, [2, 1, 1]),
+    }
+
+
+def _at_1(v, x):
+    return [v[0], x, *v[2:]]
+
+
+BAD_VECTORS = {
+    "str": lambda v: _at_1(v, "1"),
+    "bool": lambda v: _at_1(v, True),
+    "complex": lambda v: _at_1(v, 1 + 0j),
+    "none": lambda v: _at_1(v, None),
+    "ragged": lambda v: _at_1(v, [1]),
+    "0-d": lambda v: np.array(1.0),
+    "2-d": lambda v: [v, v],
+    "nan": lambda v: _at_1(v, math.nan),
+    "inf": lambda v: _at_1(v, math.inf),
+    "int-beyond-float-range": lambda v: _at_1(v, 10**400),
+    "empty": lambda v: [],
+}
+
+
+class TestVectorValues:
+    """Every public numeric vector is read by model.check_real_vector or
+    model.check_int_vector: strings, booleans, complex numbers, None and
+    nesting are never numbers."""
+
+    @pytest.mark.parametrize("kind", list(BAD_VECTORS))
+    @pytest.mark.parametrize("make", list(_vector_constructors()))
+    def test_bad_vector_is_rejected(self, make, kind):
+        build, valid = _vector_constructors()[make]
+        with pytest.raises(ValidationError):
+            build(BAD_VECTORS[kind](valid))
+
+    @pytest.mark.parametrize(
+        "make, dtype",
+        [
+            (make, dtype)
+            for make in _vector_constructors()
+            for dtype in ("float32", "float64", "int64", "uint8", "fraction")
+            if (make, dtype) != ("EmpiricalCounts", "fraction")  # an integer vector
+        ],
+    )
+    def test_numeric_dtypes_are_read(self, make, dtype):
+        build, valid = _vector_constructors()[make]
+        v = [Fraction(x) for x in valid] if dtype == "fraction" else np.array(valid, dtype=dtype)
+        got, want = build(v), build(valid)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got[1] == 1 and not got.flags.writeable
+
 
 class TestPopulationSizeCheck:
     @pytest.mark.parametrize("bad", [0, -3, 2.5, "4", True])

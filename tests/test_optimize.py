@@ -243,6 +243,10 @@ class TestValueTable:
     def test_integral_choices_are_read(self):
         assert ValueTable([0.0, 1.0], [0.0, 1.0]).choices.tolist() == [0, 1]
 
+    def test_empty_table(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            ValueTable([], [])
+
 
 def scalar_dp(cv, target, tie_rtol=1e-12):
     """dp_solve's table as a two-pass scalar loop: the minimum first, then
