@@ -84,25 +84,23 @@ def _blocks(n: int, size: int) -> MultiplicityFunction:
 
 def strategy_multiplicity(
     strategy: str,
-    batch_size: int,
     p_iid: float,
     cv: CostVector,
     max_pool: Optional[int] = None,
 ) -> MultiplicityFunction:
-    """Pooling multiplicity for one strategy: dorfman reads the fitted IID
-    prevalence p_iid, iid and symmetric solve on cv, the caller's cost
-    vector for that strategy's model.  max_pool caps every pool size (fixed
-    sizes are clamped, the optimizers read cv up to the cap).  dorfman
-    handles the degenerate fits the infinite-population formula excludes:
-    one big pool at zero prevalence, individual testing at full prevalence.
-    """
+    """Pooling multiplicity of cv.n specimens for one strategy: dorfman reads
+    the fitted IID prevalence p_iid, iid and symmetric solve on cv, the
+    caller's cost vector for that strategy's model.  max_pool caps every
+    pool size (fixed sizes are clamped, the optimizers read cv up to the
+    cap).  dorfman handles the degenerate fits the infinite-population
+    formula excludes: one big pool at p = 0, individual testing at p = 1."""
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    cap = check_int("batch size", batch_size)
+    n = cap = cv.n
     if max_pool is not None:
         cap = min(check_int("max pool size", max_pool), cap)
     if strategy == "team8":
-        return _blocks(batch_size, min(8, cap))
+        return _blocks(n, min(8, cap))
     if strategy == "dorfman":
         if p_iid <= 0.0:
             s = cap
@@ -110,10 +108,8 @@ def strategy_multiplicity(
             s = 1
         else:
             s = min(dorfman_infinite_size(p_iid, s_max=max(cap, 2)), cap)
-        return _blocks(batch_size, s)
-    if cv.n != batch_size:
-        raise ValidationError(f"model size {cv.n} does not match batch size {batch_size}")
-    mu, _ = dp_solve(CostVector(cv.n, cv.c[: cap + 1]), batch_size)
+        return _blocks(n, s)
+    mu, _ = dp_solve(CostVector(n, cv.c[: cap + 1]), n)
     return mu
 
 
@@ -134,13 +130,13 @@ class Experiment:
 
 def run_experiment(
     batches_path,
-    batch_size: int = 80,
     trials: int = 10000,
     seed: int = 0,
     max_pool: Optional[int] = None,
     laplace: float = 0.0,
 ) -> Experiment:
-    """Fit both models to a batch file and evaluate all four strategies."""
+    """Fit both models to a batch file and evaluate all four strategies for
+    n, the fitted models' size: the one size its batches share."""
     # up front, before the batches are read: replay, which uses these, runs
     # last, and constant batches draw nothing
     check_uint64("seed", seed)
@@ -149,11 +145,6 @@ def run_experiment(
         check_int("max pool size", max_pool)
     with _stage("ingest"):
         batches = read_batches(batches_path)
-        for b in batches:
-            if b.size != batch_size:
-                raise ValidationError(
-                    f"batch {b.index} has size {b.size}, expected {batch_size}"
-                )
     with _stage("fit"):
         m_iid = fit_iid(batches, laplace=laplace)
         m_sym = fit_symmetric(batches, laplace=laplace)
@@ -167,8 +158,8 @@ def run_experiment(
     for name in STRATEGIES:
         with _stage(f"optimize[{name}]"):
             cv = cv_iid if name == "iid" else cv_sym
-            mu = strategy_multiplicity(name, batch_size, p_iid, cv, max_pool)
-            pools = pooling_from_multiplicity(mu, range(batch_size))
+            mu = strategy_multiplicity(name, p_iid, cv, max_pool)
+            pools = pooling_from_multiplicity(mu, range(m_sym.n))
             theoretical = {
                 family: {"expected_tests": t, "efficiency": efficiency(mu.target, t)}
                 for family, t in (
@@ -379,7 +370,7 @@ def _cmd_optimize(args) -> int:
         m_iid = iid_model(n, prevalence(m))
     cv = cost_vector(q_from_alpha(m))
     cv_plan = cost_vector(q_from_alpha(m_iid)) if args.strategy == "iid" and m_iid is not m else cv
-    mu = strategy_multiplicity(args.strategy, n, prevalence(m_iid), cv_plan, args.max_pool_size)
+    mu = strategy_multiplicity(args.strategy, prevalence(m_iid), cv_plan, args.max_pool_size)
     pools = pooling_from_multiplicity(mu, range(n))
     tests = expected_tests_partition(cv, pools)
     _write_json(
@@ -426,14 +417,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_report(args) -> int:
     exp = run_experiment(
         args.batches,
-        batch_size=args.batch_size,
         trials=args.trials,
         seed=args.seed,
         max_pool=args.max_pool_size,
         laplace=args.laplace,
     )
     doc = {
-        "batch_size": args.batch_size,
+        "batch_size": exp.m_sym.n,
         "trials": args.trials,
         "seed": args.seed,
         "strategies": exp.reports,
@@ -495,7 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full four-strategy comparison")
     p.add_argument("--batches", required=True)
-    p.add_argument("--batch-size")
     p.add_argument("--max-pool-size")
     p.add_argument("--laplace")
     p.add_argument("--plots-dir", default=None, help="also write alpha/q/U plot CSVs")

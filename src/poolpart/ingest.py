@@ -97,6 +97,8 @@ class Batch:
     def __post_init__(self):
         object.__setattr__(self, "index", check_int("batch index", self.index, 0))
         object.__setattr__(self, "statuses", binary_vector(self.statuses))
+        if isinstance(self.source_pools, str):  # tuple() would split one id into characters
+            raise ValidationError("source_pools must be a sequence of pool ids, not a string")
         object.__setattr__(self, "source_pools", tuple(self.source_pools))
 
     @property

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cost import CostVector, GroupFamily
 from .errors import InfeasibleError, ValidationError
-from .model import check_int, check_int_vector, check_real, check_real_vector
+from .model import check_int, check_int_vector, check_n, check_real, check_real_vector
 
 __all__ = [
     "MultiplicityFunction",
@@ -50,10 +50,13 @@ class MultiplicityFunction:
     def __init__(self, target: int, counts):
         # accept a mapping or pair iterable; store sorted with zeros dropped
         items = counts.items() if isinstance(counts, dict) else counts
-        pairs = [
+        pairs = sorted(
             (check_int("part size", i), check_int(f"count for size {i}", m, 0)) for i, m in items
-        ]
-        cleaned = tuple(sorted((i, m) for i, m in pairs if m))
+        )
+        for (i, _), (j, _) in zip(pairs, pairs[1:]):
+            if i == j:
+                raise ValidationError(f"part size {i} is given twice")
+        cleaned = tuple((i, m) for i, m in pairs if m)
         object.__setattr__(self, "target", check_int("target", target))
         object.__setattr__(self, "counts", cleaned)
         total = sum(i * m for i, m in cleaned)
@@ -112,7 +115,7 @@ def dp_solve(cv: CostVector, target: int) -> Tuple[MultiplicityFunction, ValueTa
     candidate sums M*(k - i) + c(i), the same float additions a scalar
     loop would make, so the table does not depend on the vectorization.
     """
-    target = check_int("target", target)
+    target = check_n(target, "target")
     c = cv.c
     values = np.zeros(target + 1)
     choices = np.zeros(target + 1, dtype=int)

@@ -82,7 +82,7 @@ def test_criterion_03_fixed_dorfman_and_iid_strategies_coincide():
     want = MultiplicityFunction(80, {8: 10})
     cv_iid = cost_vector(q_from_alpha(m_iid))
     for name in ("team8", "dorfman", "iid"):
-        assert strategy_multiplicity(name, 80, prevalence(m_iid), cv_iid) == want
+        assert strategy_multiplicity(name, prevalence(m_iid), cv_iid) == want
 
 
 def test_criterion_04_ingest_conserves_specimens(tmp_path):
@@ -189,8 +189,8 @@ def test_criterion_08_symmetric_fit_beats_iid_fit_on_clustered_cohort():
     m_sym = fit_symmetric(batches)
     p_iid = prevalence(m_iid)
     cv = cost_vector(q_from_alpha(m_sym))
-    mu_iid = strategy_multiplicity("iid", 80, p_iid, cost_vector(q_from_alpha(m_iid)))
-    mu_sym = strategy_multiplicity("symmetric", 80, p_iid, cv)
+    mu_iid = strategy_multiplicity("iid", p_iid, cost_vector(q_from_alpha(m_iid)))
+    mu_sym = strategy_multiplicity("symmetric", p_iid, cv)
     t_iid = expected_tests_partition(cv, pooling_from_multiplicity(mu_iid, range(80)))
     t_sym = expected_tests_partition(cv, pooling_from_multiplicity(mu_sym, range(80)))
     assert t_sym < t_iid

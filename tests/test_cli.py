@@ -87,6 +87,10 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["optimize", "--strategy", "bogus", "--n", "4", "--prevalence", "0.1"])
         assert err.value.code == 2
+        # report's batch size is its file's: only ingest has the flag
+        with pytest.raises(SystemExit) as err:
+            main(["report", "--batches", "b.csv", "--batch-size", "4"])
+        assert err.value.code == 2
 
 
 class TestOversizedCounts:
@@ -103,7 +107,7 @@ class TestOversizedCounts:
         return {
             "simulate-model": ["simulate", "--model", str(tmp_path / "model.json"), *mu],
             "simulate-batches": ["simulate", "--batches", str(tmp_path / "batches.csv"), *mu],
-            "report": ["report", "--batches", str(tmp_path / "batches.csv"), "--batch-size", "4"],
+            "report": ["report", "--batches", str(tmp_path / "batches.csv")],
         }
 
     @pytest.mark.parametrize("trials", [2**60, 2**63, 10**20, 2**50])
@@ -202,8 +206,8 @@ class TestOptimizeCommand:
         m = iid_model(8, 0.1)
         p, cv = prevalence(m), cost_vector(q_from_alpha(m))
         with pytest.raises(ValidationError, match="max pool size must be an integer >= 1"):
-            strategy_multiplicity("team8", 8, p, cv, max_pool=2.5)
-        assert strategy_multiplicity("team8", 8, p, cv, max_pool=np.int64(4)).as_dict() == {4: 2}
+            strategy_multiplicity("team8", p, cv, max_pool=2.5)
+        assert strategy_multiplicity("team8", p, cv, max_pool=np.int64(4)).as_dict() == {4: 2}
 
     def test_float_path_population(self, capsys):
         code, out = run(capsys, "optimize", "--n", "1000", "--prevalence", "0.01")
@@ -354,6 +358,16 @@ class TestReportCommand:
         )
         assert code == 0
         assert json.loads(out)["trials"] == 5
+
+    def test_batch_size_is_the_files(self, capsys, tmp_path):
+        path = tmp_path / "b16.csv"
+        path.write_text("batch_index,statuses\n0,NNPNNNNNNNNNNNNN\n1,NNNNNNNNNNNNNNNN\n")
+        code, out = run(capsys, "report", "--batches", str(path), "--trials", "10")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["batch_size"] == 16
+        for s in doc["strategies"]:
+            assert sum(int(i) * m for i, m in s["multiplicity"].items()) == 16
 
     def test_shared_designs_replay_once_with_same_bytes(
         self, capsys, batches_file, tmp_path, monkeypatch
@@ -581,8 +595,8 @@ class TestMalformedInputs:
     OPTIMIZE = ["optimize", "--model", "{path}"]
     FIT = ["fit", "--input", "{path}"]
     SIMULATE = ["simulate", "--batches", "{dir}/b.csv", "--multiplicity", "{path}"]
-    REPORT = ["report", "--batches", "{path}", "--batch-size", "4", "--laplace"]
-    REPORT_SEED = ["report", "--batches", "{path}", "--batch-size", "4", "--seed"]
+    REPORT = ["report", "--batches", "{path}", "--laplace"]
+    REPORT_SEED = ["report", "--batches", "{path}", "--seed"]
     REPLAY_SEED = ["simulate", "--batches", "{path}", "--multiplicity", "{dir}/mu.json", "--seed"]
     REPLAY = ["simulate", "--batches", "{path}", "--multiplicity", "{dir}/mu.json"]
 
@@ -626,6 +640,8 @@ class TestMalformedInputs:
             (["POOLPART_TRIALS=1_5"] + REPLAY, BATCHES_4, "bad POOLPART_TRIALS value"),
             (FIT, "batch_index,statuses,statuses\n0,NNPN,PPPP\n", "repeated column(s)"),
             (INGEST, REPEATED_STATUSES_POOLS, "repeated column(s) ['statuses']"),
+            (["report", "--batches", "{path}"], "batch_index,statuses\n0,NNPN\n1,PPN\n",
+             "fit: heterogeneous batch sizes: 4 then 3"),
         ],
         ids=[
             "mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n",
@@ -645,7 +661,7 @@ class TestMalformedInputs:
             "fullwidth-digit-multiplicity-key", "underscore-batch-index",
             "arabic-indic-digit-trials", "underscore-trials", "signed-seed",
             "underscore-trials-variable", "repeated-batch-csv-column",
-            "repeated-pool-csv-column",
+            "repeated-pool-csv-column", "mixed-report-batch-sizes",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv, content, needle):
@@ -678,14 +694,14 @@ def test_padded_multiplicity_key_is_read(capsys, tmp_path):
 INTEGER_OPTIONS = {
     "--seed": TestMalformedInputs.REPLAY,
     "--trials": TestMalformedInputs.REPLAY,
-    "--batch-size": ["report", "--batches", "{path}"],
+    "--batch-size": ["ingest", "--input", "{path}", "--out", "{dir}/b.csv"],
     "--n": ["optimize", "--prevalence", "0.1"],
     "--max-pool-size": ["optimize", "--prevalence", "0.1", "--n", "4"],
     "--exclude-size": ["ingest", "--input", "{path}", "--out", "{dir}/b.csv"],
     "POOLPART_SEED": TestMalformedInputs.REPLAY,
     "POOLPART_TRIALS": TestMalformedInputs.REPLAY,
-    "POOLPART_BATCH_SIZE": ["report", "--batches", "{path}"],
-    "POOLPART_MAX_POOL_SIZE": ["report", "--batches", "{path}", "--batch-size", "4"],
+    "POOLPART_BATCH_SIZE": ["ingest", "--input", "{path}", "--out", "{dir}/b.csv"],
+    "POOLPART_MAX_POOL_SIZE": ["report", "--batches", "{path}"],
 }
 
 
@@ -718,7 +734,7 @@ def test_padded_integer_flag_is_read(capsys, tmp_path):
 
 
 # each float flag and variable, after a command that would otherwise run
-REPORT_4 = ["report", "--batches", "{path}", "--batch-size", "4", "--trials", "5"]
+REPORT_4 = ["report", "--batches", "{path}", "--trials", "5"]
 REAL_OPTIONS = {
     "fit-flag": ("--laplace", TestMalformedInputs.FIT),
     "report-flag": ("--laplace", REPORT_4),
@@ -776,7 +792,10 @@ COMMANDS = {
     "fit": (TestMalformedInputs.FIT, ["POOLPART_LAPLACE"]),
     "optimize": (["optimize", "--n", "4", "--prevalence", "0.1"], ["POOLPART_MAX_POOL_SIZE"]),
     "simulate": (TestMalformedInputs.REPLAY, ["POOLPART_SEED", "POOLPART_TRIALS"]),
-    "report": (["report", "--batches", "{path}"], list(VARIABLE_FLAGS)),
+    "report": (
+        ["report", "--batches", "{path}"],
+        [v for v in VARIABLE_FLAGS if v != "POOLPART_BATCH_SIZE"],
+    ),
 }
 
 

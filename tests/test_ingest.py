@@ -358,6 +358,12 @@ class TestRecordValidation:
         with pytest.raises(ValidationError, match="batch index must be an integer >= 0"):
             Batch(index, [0, 1])
 
+    def test_source_pools_is_not_a_string(self):
+        # tuple("pool-17") would name seven one-character pools
+        with pytest.raises(ValidationError, match="source_pools must be a sequence of pool ids"):
+            Batch(0, [0, 1], source_pools="pool-17")
+        assert Batch(0, [0, 1], source_pools=("pool-17",)).source_pools == ("pool-17",)
+
     def test_batch_must_be_binary(self):
         with pytest.raises(ValidationError):
             Batch(0, np.array([0, 1, 2]))

@@ -61,6 +61,12 @@ class TestMultiplicityFunction:
         assert mu == MultiplicityFunction(4, {2: 2})
         assert {type(v) for v in (mu.target, *mu.counts[0])} == {int}
 
+    @pytest.mark.parametrize("counts", [[(2, 1), (2, 1)], [(2, 2), (1, 0), (1, 0)]])
+    def test_part_size_given_twice(self, counts):
+        # one entry per size: counts, as_dict and part_sizes would disagree
+        with pytest.raises(ValidationError, match=r"part size \d is given twice"):
+            MultiplicityFunction(4, counts)
+
     def test_equality_and_views(self):
         mu = MultiplicityFunction(10, {2: 1, 4: 2})
         assert mu == MultiplicityFunction(10, {4: 2, 2: 1})
@@ -103,6 +109,10 @@ class TestDpSolve:
             dp_solve(flat_costs(4), 0)
         with pytest.raises(ValidationError):
             dp_solve(flat_costs(4), "4")
+        # a target no float64 vector can hold, like a trial count
+        cv = cost_vector(q_from_alpha(iid_model(8, 0.1)))
+        with pytest.raises(ValidationError, match=f"target must be below {2**60 - 1}, got {10**20}"):
+            dp_solve(cv, 10**20)
 
 
     def test_target_is_a_non_boolean_integer(self):

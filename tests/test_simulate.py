@@ -722,7 +722,7 @@ def test_no_simulation_calls_the_row_scan(monkeypatch, tmp_path):
         empirical_trial_totals(batches, mu, randomize, 300, 91)
     path = tmp_path / "b.csv"
     path.write_text("batch_index,statuses\n" + "".join(f"{i},{r}\n" for i, r in enumerate(rows)))
-    argv = ["report", "--batches", str(path), "--batch-size", "12", "--trials", "50"]
+    argv = ["report", "--batches", str(path), "--trials", "50"]
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
 
 
