@@ -16,12 +16,13 @@ Strategies:
 
 Option values resolve as flags > POOLPART_* environment variables >
 defaults, after parsing and for the running command's options only: a
-variable is read only by a command that has its flag, and a flag wins even
-over a malformed variable.  Integers are read with `model.parse_uint`, the
-rule for integers read from files (ASCII digits only), and floats with
-`model.parse_real` (float() less non-ASCII text and '_').  Exit codes:
-0 success, 2 validation error or out of memory, 3 I/O error,
-4 infeasible optimization.
+variable is read only by a command that has its flag (report's
+--batch-size, a check on the batch file's size, reads none), and a flag
+wins even over a malformed variable.  Integers are read with
+`model.parse_uint`, the rule for integers read from files (ASCII digits
+only), and floats with `model.parse_real` (float() less non-ASCII text and
+'_').  Exit codes: 0 success, 2 validation error or out of memory, 3 I/O
+error, 4 infeasible optimization.
 """
 
 from __future__ import annotations
@@ -109,8 +110,7 @@ def strategy_multiplicity(
         else:
             s = min(dorfman_infinite_size(p_iid, s_max=max(cap, 2)), cap)
         return _blocks(n, s)
-    mu, _ = dp_solve(CostVector(n, cv.c[: cap + 1]), n)
-    return mu
+    return dp_solve(CostVector(n, cv.c[: cap + 1]), n)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +130,7 @@ class Experiment:
 
 def run_experiment(
     batches_path,
+    *,
     trials: int = 10000,
     seed: int = 0,
     max_pool: Optional[int] = None,
@@ -422,8 +423,11 @@ def _cmd_report(args) -> int:
         max_pool=args.max_pool_size,
         laplace=args.laplace,
     )
+    n = exp.m_sym.n
+    if getattr(args, "batch_size", n) != n:
+        raise ValidationError(f"batches have size {n}, not --batch-size {args.batch_size}")
     doc = {
-        "batch_size": exp.m_sym.n,
+        "batch_size": n,
         "trials": args.trials,
         "seed": args.seed,
         "strategies": exp.reports,
@@ -485,6 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full four-strategy comparison")
     p.add_argument("--batches", required=True)
+    p.add_argument("--batch-size", default=argparse.SUPPRESS)  # unset: no variable read
     p.add_argument("--max-pool-size")
     p.add_argument("--laplace")
     p.add_argument("--plots-dir", default=None, help="also write alpha/q/U plot CSVs")

@@ -87,10 +87,6 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["optimize", "--strategy", "bogus", "--n", "4", "--prevalence", "0.1"])
         assert err.value.code == 2
-        # report's batch size is its file's: only ingest has the flag
-        with pytest.raises(SystemExit) as err:
-            main(["report", "--batches", "b.csv", "--batch-size", "4"])
-        assert err.value.code == 2
 
 
 class TestOversizedCounts:
@@ -368,6 +364,9 @@ class TestReportCommand:
         assert doc["batch_size"] == 16
         for s in doc["strategies"]:
             assert sum(int(i) * m for i, m in s["multiplicity"].items()) == 16
+        # --batch-size only restates the file's size
+        assert run(capsys, "report", "--batches", str(path), "--trials", "10",
+                   "--batch-size", "16") == (code, out)
 
     def test_shared_designs_replay_once_with_same_bytes(
         self, capsys, batches_file, tmp_path, monkeypatch
@@ -642,6 +641,10 @@ class TestMalformedInputs:
             (INGEST, REPEATED_STATUSES_POOLS, "repeated column(s) ['statuses']"),
             (["report", "--batches", "{path}"], "batch_index,statuses\n0,NNPN\n1,PPN\n",
              "fit: heterogeneous batch sizes: 4 then 3"),
+            (["report", "--batches", "{path}", "--trials", "5", "--batch-size", "5"], BATCHES_4,
+             "batches have size 4, not --batch-size 5"),
+            (["report", "--batches", "{path}", "--batch-size", "4_0"], BATCHES_4,
+             "bad --batch-size value"),
         ],
         ids=[
             "mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n",
@@ -662,6 +665,7 @@ class TestMalformedInputs:
             "arabic-indic-digit-trials", "underscore-trials", "signed-seed",
             "underscore-trials-variable", "repeated-batch-csv-column",
             "repeated-pool-csv-column", "mixed-report-batch-sizes",
+            "report-batch-size-not-the-files", "underscore-report-batch-size",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv, content, needle):
