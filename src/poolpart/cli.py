@@ -296,17 +296,11 @@ def _load_multiplicity(path) -> MultiplicityFunction:
     if not isinstance(doc, dict) or not doc:
         raise ValidationError(f"{path}: expected a nonempty size->count object")
     try:
-        counts = {parse_uint(i): m for i, m in doc.items()}
+        counts = [(parse_uint(i), m) for i, m in doc.items()]
     except ValueError as e:
         raise ValidationError(f"{path}: bad multiplicity entry: {e}") from e
-    if len(counts) < len(doc):
-        keys = sorted(doc, key=parse_uint)
-        a, b = next((a, b) for a, b in zip(keys, keys[1:]) if parse_uint(a) == parse_uint(b))
-        raise ValidationError(
-            f"{path}: multiplicity keys {a!r} and {b!r} name one size, {parse_uint(a)}"
-        )
-    # a count that is not an integer adds nothing here; MultiplicityFunction rejects it
-    target = sum(i * m for i, m in counts.items() if isinstance(m, numbers.Integral))
+    # MultiplicityFunction rejects a repeated size and a non-integer count, which adds 0 here
+    target = sum(i * m for i, m in counts if isinstance(m, numbers.Integral))
     return MultiplicityFunction(target, counts)
 
 
@@ -394,10 +388,6 @@ def _cmd_simulate(args) -> int:
     mu = _load_multiplicity(args.multiplicity)
     if args.model is not None:
         m = _load_model(args.model)
-        if mu.target != m.n:
-            raise ValidationError(
-                f"multiplicity target {mu.target} does not match model size {m.n}"
-            )
         pools = pooling_from_multiplicity(mu, range(m.n))
         totals = mc_trial_totals(m, pools, args.trials, args.seed)
         summary = summarize_totals(totals, m.n)

@@ -73,6 +73,12 @@ class PoolRecord:
             raise ValidationError(f"pool_size must be an integer, got {self.pool_size!r}")
         if self.pool_size < 1:
             raise ValidationError(f"pool_size must be >= 1, got {self.pool_size}")
+        if not isinstance(self.statuses, str):  # write_pools would write a list's repr
+            raise ValidationError(f"pool {self.pool_id!r}: statuses must be a string")
+        if self.run_timestamp is not None and not isinstance(self.run_timestamp, datetime):
+            raise ValidationError(
+                f"pool {self.pool_id!r}: run_timestamp must be a datetime or None"
+            )
         if len(self.statuses) != self.pool_size:
             raise ValidationError(
                 f"pool {self.pool_id!r}: {len(self.statuses)} statuses for size {self.pool_size}"

@@ -58,7 +58,8 @@ import numpy as np
 
 from .cost import GroupFamily
 from .errors import ValidationError
-from .model import OutcomeVector, SymmetricModel, check_n, check_uint64, status_matrix, substream
+from .model import OutcomeVector, SymmetricModel, check_int, check_n, check_uint64
+from .model import status_matrix, substream
 from .optimize import MultiplicityFunction, pooling_from_multiplicity
 
 __all__ = [
@@ -105,8 +106,7 @@ class TrialSummary:
     efficiency_std_error: float
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", check_int("trials", self.trials))
         if self.std_error < 0 or self.efficiency_std_error < 0:
             raise ValidationError("standard errors must be nonnegative")
 

@@ -558,6 +558,7 @@ REPEATED_STATUSES_POOLS = (
 
 BATCHES_4 = "batch_index,statuses\n0,NNPN\n1,NNNN\n"
 CONSTANT_BATCHES_4 = "batch_index,statuses\n0,NNNN\n1,PPPP\n"
+MODEL_4 = json.dumps({"n": 4, "alpha": [0.6, 0.2, 0.1, 0.06, 0.04]})
 
 
 class TestUtf8ByteOrderMark:
@@ -594,6 +595,7 @@ class TestMalformedInputs:
     OPTIMIZE = ["optimize", "--model", "{path}"]
     FIT = ["fit", "--input", "{path}"]
     SIMULATE = ["simulate", "--batches", "{dir}/b.csv", "--multiplicity", "{path}"]
+    MONTE_CARLO = ["simulate", "--model", "{dir}/model.json", "--multiplicity", "{path}"]
     REPORT = ["report", "--batches", "{path}", "--laplace"]
     REPORT_SEED = ["report", "--batches", "{path}", "--seed"]
     REPLAY_SEED = ["simulate", "--batches", "{path}", "--multiplicity", "{dir}/mu.json", "--seed"]
@@ -628,7 +630,9 @@ class TestMalformedInputs:
             (REPLAY_SEED + [str(2**64)], CONSTANT_BATCHES_4, "seed"),
             (["report", "--batches", "{dir}/missing.csv", "--seed", "-1"], "", "seed"),
             (OPTIMIZE, '{"n": 1, "alpha": [1.0, 0.0], "alpha": [0.0, 1.0]}', "'alpha' is repeated"),
-            (SIMULATE, json.dumps({"2": 1, "02": 1, "1": 2}), "'2' and '02' name one size"),
+            (SIMULATE, json.dumps({"2": 1, "02": 1, "1": 2}), "part size 2 is given twice"),
+            (MONTE_CARLO, json.dumps({"2": 1}),
+             "multiplicity target 2 does not match population size 4"),
             (SIMULATE, json.dumps({"2_0": 1}), "bad multiplicity entry: '2_0'"),
             (SIMULATE, json.dumps({"+2": 2}), "bad multiplicity entry: '+2'"),
             (SIMULATE, json.dumps({"\uff12": 2}), "bad multiplicity entry: '\uff12'"),
@@ -660,6 +664,7 @@ class TestMalformedInputs:
             "negative-replay-seed-constant-cohort", "replay-seed-beyond-uint64-constant-cohort",
             "report-seed-checked-before-batches-are-read",
             "repeated-model-json-key", "multiplicity-keys-naming-one-size",
+            "multiplicity-not-covering-model-size",
             "underscore-multiplicity-key", "signed-multiplicity-key",
             "fullwidth-digit-multiplicity-key", "underscore-batch-index",
             "arabic-indic-digit-trials", "underscore-trials", "signed-seed",
@@ -675,6 +680,7 @@ class TestMalformedInputs:
         path = tmp_path / "input"
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
         (tmp_path / "mu.json").write_text('{"2": 2}')  # a valid design for the n = 4 rows
+        (tmp_path / "model.json").write_text(MODEL_4)
         code = main([a.format(path=path, dir=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert code == 2

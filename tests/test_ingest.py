@@ -352,6 +352,23 @@ class TestRecordValidation:
             PoolRecord("x", T0, 2, "NZ")
 
     @pytest.mark.parametrize(
+        "statuses", [["N", "P"], ("N", "P"), b"NP"], ids=["list", "tuple", "bytes"]
+    )
+    def test_statuses_must_be_a_string(self, statuses):
+        # write_pools would write a list as "['N', 'P']", which parse_pools rejects
+        with pytest.raises(ValidationError, match="'b': statuses must be a string"):
+            PoolRecord("b", None, 2, statuses)
+
+    @pytest.mark.parametrize(
+        "stamp", ["2020-04-05T10:00:00", T0.date(), 0], ids=["str", "date", "int"]
+    )
+    def test_timestamp_must_be_a_datetime_or_none(self, stamp):
+        # a string would pass filter_pools, then fail in impute_batches and write_pools
+        with pytest.raises(ValidationError, match="run_timestamp must be a datetime or None"):
+            PoolRecord("b", stamp, 2, "NP")
+        assert PoolRecord("b", None, 2, "NP").run_timestamp is None
+
+    @pytest.mark.parametrize(
         "index", ["x", -3, True, 1.5], ids=["str", "negative", "bool", "float"]
     )
     def test_batch_index_is_a_nonnegative_integer(self, index):

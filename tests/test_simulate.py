@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -279,10 +280,17 @@ class TestTrialSummaryType:
         with pytest.raises(ValidationError):
             TrialSummary(5, 1.0, -0.1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("trials", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_trials_are_read_by_check_int(self, trials):
+        with pytest.raises(ValidationError, match="trials must be an integer >= 1"):
+            TrialSummary(trials, 1.0, 0.0, 1.0, 0.0)
+
     def test_to_dict_round(self):
-        s = TrialSummary(5, 2.0, 0.1, 4.0, 0.2)
-        d = s.to_dict()
-        assert d["trials"] == 5 and d["mean_efficiency"] == 4.0
+        for trials in (5, np.int64(5)):  # a numpy count is stored as an int
+            s = TrialSummary(trials, 2.0, 0.1, 4.0, 0.2)
+            d = s.to_dict()
+            assert d["trials"] == 5 and d["mean_efficiency"] == 4.0
+            assert type(s.trials) is int and json.loads(json.dumps(d)) == d
 
 
 class TestBlockKernel:
