@@ -5,14 +5,14 @@ batch file, build four pooling strategies, and evaluate each analytically
 (under both fitted models) and empirically (replayed against the batches,
 with and without randomized specimen-to-pool assignment).
 
-Strategies:
+Strategies, each planned on the model that `_plan_and_score` picks for it:
 
     team8      fixed size-8 pools
-    dorfman    classical infinite-population pool size at the fitted
+    dorfman    classical infinite-population pool size at the IID model's
                prevalence, one smaller remainder pool if it does not divide
                the batch size
-    iid        cost-optimal partition under the fitted IID model
-    symmetric  cost-optimal partition under the fitted exchangeable model
+    iid        cost-optimal partition under the IID model
+    symmetric  cost-optimal partition under the exchangeable model
 
 Option values resolve as flags > POOLPART_* environment variables >
 defaults, after parsing and for the running command's options only: a
@@ -90,8 +90,8 @@ def strategy_multiplicity(
     max_pool: Optional[int] = None,
 ) -> MultiplicityFunction:
     """Pooling multiplicity of cv.n specimens for one strategy: dorfman reads
-    the fitted IID prevalence p_iid, iid and symmetric solve on cv, the
-    caller's cost vector for that strategy's model.  max_pool caps every
+    the IID prevalence p_iid, iid and symmetric solve on cv, the cost vector
+    of the model `_plan_and_score` picks for them.  max_pool caps every
     pool size (fixed sizes are clamped, the optimizers read cv up to the
     cap).  dorfman handles the degenerate fits the infinite-population
     formula excludes: one big pool at p = 0, individual testing at p = 1."""
@@ -111,6 +111,27 @@ def strategy_multiplicity(
             s = min(dorfman_infinite_size(p_iid, s_max=max(cap, 2)), cap)
         return _blocks(n, s)
     return dp_solve(CostVector(n, cv.c[: cap + 1]), n)[0]
+
+
+def _plan_and_score(strategy, m_iid, cv_iid, cv, max_pool, scored_under):
+    """Plan cv.n specimens for one strategy and score the plan: the one rule
+    for which model each strategy plans on.  iid solves on cv_iid, the cost
+    vector of the IID model m_iid (built from it when None), dorfman reads
+    m_iid's prevalence, and team8 and symmetric plan on cv, the given model's.
+    Returns the multiplicity, its pools, the {strategy, multiplicity} entry
+    both commands write, and the pools' expected tests and efficiency under
+    each cost vector of the dict scored_under, by its key."""
+    if strategy == "iid" and cv_iid is None:
+        cv_iid = cost_vector(q_from_alpha(m_iid))
+    plan_cv = cv_iid if strategy == "iid" else cv
+    mu = strategy_multiplicity(strategy, prevalence(m_iid), plan_cv, max_pool)
+    pools = pooling_from_multiplicity(mu, range(cv.n))
+    scores = {}
+    for name, scoring in scored_under.items():
+        t = expected_tests_partition(scoring, pools)
+        scores[name] = {"expected_tests": t, "efficiency": efficiency(mu.target, t)}
+    entry = {"strategy": strategy, "multiplicity": {str(i): c for i, c in mu.counts}}
+    return mu, pools, entry, scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,23 +172,15 @@ def run_experiment(
         m_sym = fit_symmetric(batches, laplace=laplace)
         q_sym, q_iid = q_from_alpha(m_sym), q_from_alpha(m_iid)
         cv_sym, cv_iid = cost_vector(q_sym), cost_vector(q_iid)
-        p_iid = prevalence(m_iid)
     reports = []
     # every strategy replays on the same seed, so equal designs give equal
     # summaries: replay each distinct multiplicity once
     replays: Dict[tuple, tuple] = {}
     for name in STRATEGIES:
         with _stage(f"optimize[{name}]"):
-            cv = cv_iid if name == "iid" else cv_sym
-            mu = strategy_multiplicity(name, p_iid, cv, max_pool)
-            pools = pooling_from_multiplicity(mu, range(m_sym.n))
-            theoretical = {
-                family: {"expected_tests": t, "efficiency": efficiency(mu.target, t)}
-                for family, t in (
-                    ("symmetric", expected_tests_partition(cv_sym, pools)),
-                    ("iid", expected_tests_partition(cv_iid, pools)),
-                )
-            }
+            mu, _, entry, theoretical = _plan_and_score(
+                name, m_iid, cv_iid, cv_sym, max_pool, {"symmetric": cv_sym, "iid": cv_iid}
+            )
         if mu.counts not in replays:
             with _stage(f"simulate[{name}]"):
                 replays[mu.counts] = (
@@ -175,19 +188,16 @@ def run_experiment(
                     empirical_evaluate(batches, mu, False, trials, seed),
                 )
         randomized, deterministic = replays[mu.counts]
-        reports.append(
-            {
-                "strategy": name,
-                "multiplicity": {str(i): m for i, m in mu.counts},
-                "num_pools": mu.num_parts,
-                "max_pool": mu.max_part,
-                "theoretical": theoretical,
-                "empirical": {
-                    "randomized": randomized.to_dict(),
-                    "deterministic": deterministic.to_dict(),
-                },
-            }
+        entry.update(
+            num_pools=mu.num_parts,
+            max_pool=mu.max_part,
+            theoretical=theoretical,
+            empirical={
+                "randomized": randomized.to_dict(),
+                "deterministic": deterministic.to_dict(),
+            },
         )
+        reports.append(entry)
     return Experiment(reports, m_iid, m_sym, q_iid, q_sym)
 
 
@@ -351,34 +361,23 @@ def _cmd_optimize(args) -> int:
         if args.prevalence is not None:
             raise ValidationError("give either --model or --prevalence, not both")
         m = _load_model(args.model)
-        n = args.n if args.n is not None else m.n
-        if n != m.n:
-            raise ValidationError(f"--n {n} does not match model size {m.n}")
+        if args.n is not None and args.n != m.n:
+            raise ValidationError(f"--n {args.n} does not match model size {m.n}")
     else:
         if args.prevalence is None or args.n is None:
             raise ValidationError("without --model, both --n and --prevalence are required")
-        n = args.n
-        m = iid_model(n, args.prevalence)
-    # only iid plans under the IID model of m, and only dorfman reads its prevalence
+        m = iid_model(args.n, args.prevalence)
+    # with --prevalence m is its own IID model; a model file's is built only
+    # for iid, which plans under it, and dorfman, which reads its prevalence
     m_iid = m
     if args.model is not None and args.strategy in ("iid", "dorfman"):
-        m_iid = iid_model(n, prevalence(m))
+        m_iid = iid_model(m.n, prevalence(m))
     cv = cost_vector(q_from_alpha(m))
-    cv_plan = cost_vector(q_from_alpha(m_iid)) if args.strategy == "iid" and m_iid is not m else cv
-    mu = strategy_multiplicity(args.strategy, prevalence(m_iid), cv_plan, args.max_pool_size)
-    pools = pooling_from_multiplicity(mu, range(n))
-    tests = expected_tests_partition(cv, pools)
-    _write_json(
-        {
-            "strategy": args.strategy,
-            "n": n,
-            "multiplicity": {str(i): cnt for i, cnt in mu.counts},
-            "expected_tests": tests,
-            "efficiency": efficiency(n, tests),
-            "pools": [list(g) for g in pools.groups],
-        },
-        args.out,
+    mu, pools, entry, scores = _plan_and_score(
+        args.strategy, m_iid, cv if m_iid is m else None, cv, args.max_pool_size, {"model": cv}
     )
+    entry.update(n=m.n, pools=[list(g) for g in pools.groups], **scores["model"])
+    _write_json(entry, args.out)
     return 0
 
 

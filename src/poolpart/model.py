@@ -535,5 +535,6 @@ def sample_outcome(
 
 
 def prevalence(m: SymmetricModel) -> float:
-    """Marginal positive probability of any single specimen: E[count]/n."""
-    return math.fsum(k * float(m.alpha[k]) for k in range(m.n + 1)) / m.n
+    """Marginal positive probability of any single specimen: E[count]/n,
+    at most 1, since alpha sums to 1 only within _NORM_TOL."""
+    return min(math.fsum(k * float(m.alpha[k]) for k in range(m.n + 1)) / m.n, 1.0)

@@ -59,7 +59,7 @@ import numpy as np
 from .cost import GroupFamily
 from .errors import ValidationError
 from .model import OutcomeVector, SymmetricModel, check_int, check_n, check_uint64
-from .model import status_matrix, substream
+from .model import check_real, status_matrix, substream
 from .optimize import MultiplicityFunction, pooling_from_multiplicity
 
 __all__ = [
@@ -107,7 +107,9 @@ class TrialSummary:
 
     def __post_init__(self):
         object.__setattr__(self, "trials", check_int("trials", self.trials))
-        if self.std_error < 0 or self.efficiency_std_error < 0:
+        for name in ("mean_tests", "std_error", "mean_efficiency", "efficiency_std_error"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        if not (self.std_error >= 0 and self.efficiency_std_error >= 0):  # NaN fails too
             raise ValidationError("standard errors must be nonnegative")
 
     def to_dict(self) -> dict:

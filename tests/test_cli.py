@@ -233,6 +233,39 @@ class TestOptimizeCommand:
         assert run(capsys, "optimize", "--model", str(model_path), "--strategy", strategy)[0] == 0
         assert len(calls) == want
 
+    @pytest.mark.parametrize("strategy", ["team8", "dorfman", "iid", "symmetric"])
+    def test_model_whose_mean_count_rounds_above_n(self, capsys, tmp_path, strategy):
+        # alpha sums to 1 only within 1e-12, so E[count]/n is 1 + 5e-14 here;
+        # iid and dorfman plan at prevalence 1
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps({"n": 2, "alpha": [0, 1e-13, 1.0]}))
+        code, out = run(capsys, "optimize", "--model", str(model_path), "--strategy", strategy)
+        assert code == 0
+        assert sum(int(i) * m for i, m in json.loads(out)["multiplicity"].items()) == 2
+
+    @pytest.mark.parametrize("laplace", ["0", "0.5"])
+    @pytest.mark.parametrize("cap", [[], ["--max-pool-size", "6"]], ids=["no-cap", "cap-6"])
+    def test_fitted_model_file_reproduces_report(
+        self, capsys, batches_file, tmp_path, laplace, cap
+    ):
+        # team8 and symmetric plan on the exchangeable fit in both commands,
+        # so a model file written by fit gives report's plan and score
+        model_path = tmp_path / "sym.json"
+        argv = ["--laplace", laplace, "--out", str(model_path)]
+        assert run(capsys, "fit", "--input", str(batches_file), *argv)[0] == 0
+        argv = ["--batches", str(batches_file), "--laplace", laplace, "--trials", "1", *cap]
+        code, out = run(capsys, "report", *argv)
+        assert code == 0
+        entries = {s["strategy"]: s for s in json.loads(out)["strategies"]}
+        for strategy in ("team8", "symmetric"):
+            argv = ["--model", str(model_path), "--strategy", strategy, *cap]
+            code, out = run(capsys, "optimize", *argv)
+            assert code == 0
+            doc, entry = json.loads(out), entries[strategy]
+            assert doc["multiplicity"] == entry["multiplicity"]
+            for key in ("expected_tests", "efficiency"):
+                assert doc[key] == entry["theoretical"]["symmetric"][key]
+
     def test_model_and_prevalence_conflict(self, capsys, tmp_path):
         model_path = tmp_path / "m.json"
         model_path.write_text(json.dumps(iid_model(4, 0.2).to_dict()))

@@ -14,6 +14,7 @@ from poolpart import (
     OutcomeWeights,
     QCurve,
     SymmetricModel,
+    TrialSummary,
     ValidationError,
     alpha_from_w,
     dorfman_infinite_size,
@@ -99,6 +100,13 @@ class TestIidModel:
     def test_prevalence_recovers_p(self):
         assert abs(prevalence(iid_model(10, 0.3)) - 0.3) < 1e-14
         assert abs(prevalence(single_positive_pair()) - 0.5) < 1e-15
+
+    def test_prevalence_is_at_most_one(self):
+        # alpha sums to 1 only within 1e-12, so E[count]/n can pass 1
+        m = SymmetricModel(2, [0.0, 1e-13, 1.0])
+        assert math.fsum(k * a for k, a in enumerate(m.alpha.tolist())) / 2 > 1.0
+        assert prevalence(m) == 1.0
+        iid_model(2, prevalence(m))
 
 
 class TestQFromAlpha:
@@ -533,6 +541,7 @@ def _real_entry_points():
         "fit_iid": lambda v: fit_iid(cohort, laplace=v).alpha.tolist(),
         "fit_symmetric": lambda v: fit_symmetric(cohort, laplace=v).alpha.tolist(),
         "efficiency": lambda v: efficiency(8, v),
+        "TrialSummary": lambda v: TrialSummary(5, v, v, v, v).to_dict(),
     }
 
 
@@ -558,6 +567,8 @@ class TestRealScalars:
                 ("fit_symmetric", "bool", True),
                 ("efficiency", "str", "2"),
                 ("efficiency", "bool", True),
+                ("TrialSummary", "str", "0.1"),
+                ("TrialSummary", "bool", True),
             ]
         ],
     )
@@ -565,7 +576,9 @@ class TestRealScalars:
         with pytest.raises(ValidationError, match="must be a real number, got "):
             _real_entry_points()[entry](value)
 
-    @pytest.mark.parametrize("entry", ["iid_model", "fit_iid", "fit_symmetric", "efficiency"])
+    @pytest.mark.parametrize(
+        "entry", ["iid_model", "fit_iid", "fit_symmetric", "efficiency", "TrialSummary"]
+    )
     @pytest.mark.parametrize(
         "value", [np.float32(0.25), np.float64(0.25), Fraction(1, 4), np.int64(1)],
         ids=["float32", "float64", "fraction", "int64"],

@@ -280,6 +280,19 @@ class TestTrialSummaryType:
         with pytest.raises(ValidationError):
             TrialSummary(5, 1.0, -0.1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("se, eff_se", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_standard_error_is_rejected(self, se, eff_se):
+        with pytest.raises(ValidationError, match="standard errors must be nonnegative"):
+            TrialSummary(5, 1.0, se, 1.0, eff_se)
+
+    @pytest.mark.parametrize("field", [1, 2, 3, 4])
+    @pytest.mark.parametrize("value", ["0.1", True], ids=["str", "bool"])
+    def test_floats_are_read_by_check_real(self, field, value):
+        args = [5, 2.0, 0.1, 4.0, 0.2]
+        args[field] = value
+        with pytest.raises(ValidationError, match="must be a real number, got "):
+            TrialSummary(*args)
+
     @pytest.mark.parametrize("trials", [2.5, True, "3"], ids=["float", "bool", "str"])
     def test_trials_are_read_by_check_int(self, trials):
         with pytest.raises(ValidationError, match="trials must be an integer >= 1"):
