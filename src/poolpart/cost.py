@@ -103,8 +103,8 @@ class GroupFamily:
         layout = {
             "members": np.fromiter((i for g in gs for i in g), dtype=np.intp, count=len(seen)),
             "starts": np.cumsum(sizes) - sizes,
-            # int32, so `tests` multiplies the bool matrix without an int64
-            # copy: a row's total is at most groups + covered, far below 2**31
+            # int32, so a 0/1 matrix times it casts to 4 bytes a cell, not 8:
+            # a row's total is at most groups + covered, far below 2**31
             "retest": (sizes * (sizes >= 2)).astype(np.int32),
         }
         object.__setattr__(self, "groups", gs)
@@ -119,14 +119,6 @@ class GroupFamily:
     @property
     def covered(self) -> int:
         return len(self.members)
-
-    def tests(self, rows: np.ndarray) -> np.ndarray:
-        """Total tests for each row of a (rows x population) 0/1 status
-        matrix, by a scan of whole rows; specimens in no group are never
-        read.  No simulation calls it: it is the tests' reference for the
-        tally from picks that every simulation runs."""
-        positive = np.maximum.reduceat(rows[:, self.members], self.starts, axis=1)
-        return len(self.starts) + positive @ self.retest
 
 
 def expected_tests_group(qc: QCurve, h: int) -> float:

@@ -10,8 +10,9 @@ bincount counts the picks in each (trial, group) pair, and a pool is
 positive when it holds a positive.  Monte Carlo and randomized replay pick
 by Floyd's algorithm; stored-order replay and the batches whose statuses
 are all equal read their picks from the statuses.  Replay stacks and
-checks its cohort with `model.status_matrix`.  `GroupFamily.tests` and
-`run_dorfman` are the references the tests hold the tally to.
+checks its cohort with `model.status_matrix`.  `run_dorfman` and a scan
+of whole outcome rows in the tests are the references the tests hold the
+tally to.
 
 Random draws come from counter-based Philox substreams
 `substream(seed, lane, draw)`, one per lane rather than one per trial.
@@ -23,9 +24,12 @@ already picked (Floyd's algorithm), so the m_t picks are a uniform
 m_t-subset.  They are the positives when k_t <= n - k_t and the negatives
 otherwise: every trial has exactly k_t positives.
 
-  Monte Carlo  lane 0, draw 0: every trial's positive count k_t, from one
-               choice(n + 1, size=trials, p=alpha) call.  Lane 1, draw 0:
-               the picks.
+  Monte Carlo  lane 0, draw 0: every trial's positive count k_t, by the
+               inverse CDF of alpha: one uniform u_t per trial, and k_t
+               the first k with u_t < cdf[k], where cdf is cumsum(alpha)
+               divided by its last entry.  At numpy 2.4 that is what
+               choice(n + 1, size=trials, p=alpha) draws.  Lane 1, draw
+               0: the picks.
   replay       lane b (the batch's position in the cohort), draw 0: the
                picks, with k_t = k_b, the batch's positive count, in every
                trial.  The positions are pool slots: a tally reads only
@@ -160,8 +164,11 @@ def _floyd_picks(rng: np.random.Generator, n: int, picks: np.ndarray) -> np.ndar
     row by row (see the module docstring).  Pick i of row r is entry
     sum(picks[:r]) + i, the index of the uniform it read."""
     u = rng.random(int(picks.sum()))
-    # in this order the rows still picking at step i are a prefix
-    order = np.argsort(-picks, kind="stable")
+    # in this order the rows still picking at step i are a prefix; rows with
+    # equal picks may come in any order, since each reads only its own
+    # uniforms and mask cells, and numpy sorts 16-bit keys by radix
+    key = -picks.astype(np.int16) if picks.max() < 2**15 else -picks
+    order = np.argsort(key, kind="stable")
     live = len(picks) - np.cumsum(np.bincount(picks))[:-1]  # rows with > i picks
     row = order * n  # each row's first cell
     span = n - picks[order] + 1  # j + 1 at step 0
@@ -191,12 +198,16 @@ def _tally(f: GroupFamily, group: np.ndarray, counts: np.ndarray, blocks) -> np.
     consecutive row slices; cells, the row-major cells of their picks row
     by row, are a row's positives, or its negatives when counts[r] >
     n - counts[r] (a flipped row), and are overwritten.  One bincount per
-    block counts the picks in each (row, group) pair; a group's positives
-    are its picks, or on a flipped row its members less its picks.  Each
-    block's counts outlive the drawing of the next: with a call per block,
-    an n = 384 Monte Carlo op read 2x the page faults and 1.14x the time."""
+    block counts the picks in each (row, group) pair.  A group is positive
+    when its count is above 0, or on a flipped row when its count, of
+    negatives, is below its size.  Each block's counts outlive the drawing
+    of the next: with a call per block, an n = 384 Monte Carlo op read 2x
+    the page faults and 1.14x the time."""
     n, groups = len(group), len(f.starts)
     sizes = np.maximum(f.retest, 1)  # a singleton's retest charge is 0
+    # in floats the product runs through BLAS; every sum is a whole number
+    # below 2**53, so it is exact
+    retest = f.retest.astype(float)
     picks = np.minimum(counts, n - counts)
     totals = np.empty(len(counts))
     for block, cells in blocks:
@@ -206,8 +217,10 @@ def _tally(f: GroupFamily, group: np.ndarray, counts: np.ndarray, blocks) -> np.
         bins += np.repeat(np.arange(0, len(p) * (groups + 1), groups + 1), p)
         count = np.bincount(bins, minlength=len(p) * (groups + 1))
         count = count.reshape(len(p), groups + 1)[:, :groups]
-        np.subtract(sizes, count, out=count, where=(counts[block] > p)[:, None])
-        totals[block] = groups + (count > 0) @ f.retest
+        positive = count > 0
+        flipped = np.flatnonzero(counts[block] > p)
+        positive[flipped] = count[flipped] < sizes
+        totals[block] = groups + positive @ retest
     return totals
 
 
@@ -234,7 +247,9 @@ def mc_trial_totals(
     top = int(f.members.max())
     if top >= m.n:
         raise IndexError(f"group member {top} outside population of size {m.n}")
-    counts = substream(seed, 0, 0).choice(m.n + 1, size=trials, p=m.alpha)
+    cdf = np.cumsum(m.alpha)
+    cdf /= cdf[-1]
+    counts = cdf.searchsorted(substream(seed, 0, 0).random(trials), side="right")
     return _subset_totals(substream(seed, 1, 0), f, _group_ids(f, m.n), counts)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_alpha
+from conftest import random_alpha, row_scan_tests
 from test_model import beta_binomial_alpha
 from poolpart import (
     CostVector,
@@ -220,8 +220,8 @@ class TestGroupFamily:
         rows[0] = 0
         rows[1] = 1
         want = [run_dorfman(f, OutcomeVector(r)).total_tests for r in rows]
-        assert f.tests(rows).tolist() == want
+        assert row_scan_tests(f, rows).tolist() == want
         singles = GroupFamily(tuple((i,) for i in range(1000)))
         rows = np.random.default_rng(6).integers(0, 2, size=(8, 1000), dtype=np.uint8)
         want = [run_dorfman(singles, OutcomeVector(r)).total_tests for r in rows]
-        assert singles.tests(rows).tolist() == want
+        assert row_scan_tests(singles, rows).tolist() == want

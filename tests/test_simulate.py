@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_alpha
+from conftest import random_alpha, row_scan_tests
 from poolpart import (
     GroupFamily,
     MultiplicityFunction,
@@ -421,20 +421,21 @@ def floyd_outcomes(m, trials, seed, stream=substream):
 
 
 def floyd_reference(m, f, trials, seed, stream=substream):
-    """floyd_outcomes tallied by GroupFamily.tests, as total tests per trial."""
-    return f.tests(floyd_outcomes(m, trials, seed, stream)).astype(float)
+    """floyd_outcomes tallied by row_scan_tests, as total tests per trial."""
+    return row_scan_tests(f, floyd_outcomes(m, trials, seed, stream)).astype(float)
 
 
 def replay_reference(batches, mu, trials, seed):
     """The replay layout, one batch at a time: floyd_subset from lane b
     with batch b's positive count in every trial, tallied by
-    GroupFamily.tests.  A constant batch reads no uniforms."""
+    row_scan_tests.  A constant batch reads no uniforms."""
     n = mu.target
     f = pooling_from_multiplicity(mu, range(n))
     totals = np.zeros(trials)
     for b, row in enumerate(batches):
         uniforms, k = substream(seed, b, 0), int(row.sum())
-        totals += f.tests(np.array([floyd_subset(uniforms, n, k) for _ in range(trials)]))
+        rows = np.array([floyd_subset(uniforms, n, k) for _ in range(trials)])
+        totals += row_scan_tests(f, rows)
     return totals
 
 
@@ -447,7 +448,7 @@ def argsort_kernel(m, f, trials, seed):
     order = substream(seed, 1, 0).random((trials, n)).argsort(axis=1)
     x = np.empty(order.shape, dtype=np.uint8)
     np.put_along_axis(x, order, np.arange(n) < counts[:, None], axis=1)
-    return f.tests(x).astype(float)
+    return row_scan_tests(f, x).astype(float)
 
 
 def random_family(rng, n):
@@ -491,6 +492,15 @@ class FourValuedUniforms:
         return np.floor(self.rng.random(size) * 4) / 4
 
 
+class FourValuedGenerator(np.random.Generator):
+    """A Generator whose uniforms take the values 0, 1/4, 1/2 and 3/4, so
+    they land on the steps of a count CDF with dyadic steps.
+    Generator.choice reads them through this method too."""
+
+    def random(self, size=None):
+        return np.floor(super().random(size) * 4) / 4
+
+
 class LargestUniform:
     """Stand-in generator that always returns 1 - 2**-53, the largest value
     Generator.random can."""
@@ -519,6 +529,11 @@ def serving_lane_1(gen):
 def four_valued_lane_1(seed, lane, draw):
     rng = substream(seed, lane, draw)
     return FourValuedUniforms(rng) if lane == 1 else rng
+
+
+def four_valued_lane_0(seed, lane, draw):
+    rng = substream(seed, lane, draw)
+    return FourValuedGenerator(rng.bit_generator) if lane == 0 else rng
 
 
 def recorded_rows(monkeypatch):
@@ -584,6 +599,23 @@ class TestFloydKernel:
         assert [int(r.sum()) for r in rows] == counts.tolist()
         assert got.tobytes() == want.tobytes()
 
+    def test_counts_match_choice_on_cdf_steps(self, monkeypatch):
+        # uniforms on the CDF's steps, which renormalizing an alpha that
+        # sums to 1 - 2**-45 moves: the counts are Generator.choice's, and
+        # the counts of zero mass are never drawn
+        import poolpart.simulate as sim
+
+        m = SymmetricModel(4, [0.0, 0.25, 0.0, 0.25, 0.5 - 2**-45])
+        f, trials, seed = GroupFamily(((0, 1), (2,))), 400, 95
+        want = floyd_reference(m, f, trials, seed, four_valued_lane_0)
+        monkeypatch.setattr(sim, "substream", four_valued_lane_0)
+        rows = recorded_rows(monkeypatch)
+        got = mc_trial_totals(m, f, trials, seed)
+        counts = four_valued_lane_0(seed, 0, 0).choice(5, size=trials, p=m.alpha)
+        assert [int(r.sum()) for r in rows] == counts.tolist()
+        assert set(counts.tolist()) == {1, 3, 4}
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("one_row", [False, True])
     @pytest.mark.parametrize("family", ["singletons", "one-group", "random"])
     @pytest.mark.parametrize("n", [301, 302])
@@ -605,6 +637,36 @@ class TestFloydKernel:
         trials = 30 if one_row else 300
         got = mc_trial_totals(m, f, trials, 89)
         assert got.tobytes() == floyd_reference(m, f, trials, 89).tobytes()
+
+    def test_blocks_mixing_flipped_rows(self):
+        # interleaved groups, singletons (retest 0) and specimens 90-99,
+        # 140-144 and 146-149 in no group; counts on both sides of n - k,
+        # so every block holds flipped and unflipped rows, over 3 blocks
+        import poolpart.simulate as sim
+
+        n, trials, seed = 150, 4000, 92
+        f = GroupFamily(
+            ((0,), (1,), tuple(range(2, 90, 2)), tuple(range(3, 90, 2)), tuple(range(100, 140)), (145,))
+        )
+        m = SymmetricModel(n, np.random.default_rng(92).dirichlet(np.ones(n + 1)))
+        counts = substream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
+        rows = sim._BLOCK_ELEMENTS // n
+        assert trials > 2 * rows
+        for t0 in range(0, trials, rows):
+            assert len(set((2 * counts[t0 : t0 + rows] > n).tolist())) == 2
+        got = mc_trial_totals(m, f, trials, seed)
+        assert got.tobytes() == floyd_reference(m, f, trials, seed).tobytes()
+
+    def test_rows_of_over_2_15_picks(self):
+        # rows are ordered by picks with 16-bit keys below 2**15 picks and
+        # with the full keys from there on; the 3 trials are one block
+        n, trials, seed = 2**16 + 16, 3, 94
+        m = SymmetricModel(n, np.bincount([3, n // 2, n // 2 + 1], minlength=n + 1) / 3)
+        f = blocks(n, 16)
+        counts = substream(seed, 0, 0).choice(n + 1, size=trials, p=m.alpha)
+        assert np.minimum(counts, n - counts).tolist() == [3, 2**15 + 8, 2**15 + 7]
+        got = mc_trial_totals(m, f, trials, seed)
+        assert got.tobytes() == floyd_reference(m, f, trials, seed).tobytes()
 
     @pytest.mark.parametrize("family", ["iid", "clustered"])
     def test_mean_matches_argsort_layout(self, family):
@@ -711,6 +773,18 @@ class TestReplayKernel:
                 want += [np.where(k <= n - k, spec >= n - k, spec < k)] * 40
         assert np.array_equal(np.array(rows), np.array(want, dtype=np.uint8))
 
+    def test_flipped_and_unflipped_batches_over_blocks(self):
+        # batch 2's picks are its negatives; singletons carry retest 0; the
+        # 2 700 trials at n = 100 span two blocks
+        import poolpart.simulate as sim
+
+        n, trials, seed = 100, 2700, 94
+        mu = MultiplicityFunction(n, {12: 4, 7: 6, 1: 10})
+        batches = [(np.arange(n) < k).astype(np.uint8) for k in (0, 30, 51, 100)]
+        assert n * trials > sim._BLOCK_ELEMENTS
+        got = empirical_trial_totals(batches, mu, True, trials, seed)
+        assert got.tobytes() == replay_reference(batches, mu, trials, seed).tobytes()
+
     def test_stored_order_matches_row_scan(self):
         from poolpart.model import status_matrix
 
@@ -722,29 +796,9 @@ class TestReplayKernel:
             k = np.array([int(row.sum()) for row in batches])
             kinds.update({"neg": (k == 0).sum(), "pos": (k == n).sum(), "flip": (2 * k > n).sum()})
             f = pooling_from_multiplicity(mu, range(n))
-            want = f.tests(status_matrix(batches, n)).sum()
+            want = row_scan_tests(f, status_matrix(batches, n)).sum()
             assert empirical_trial_totals(batches, mu, False, 1, case).tolist() == [want]
         assert min(kinds.values()) >= 10
-
-
-def test_no_simulation_calls_the_row_scan(monkeypatch, tmp_path):
-    # GroupFamily.tests is the tests' reference; every simulation tallies picks
-    from poolpart.cli import main
-
-    def row_scan(f, rows):
-        raise AssertionError("GroupFamily.tests called")
-
-    monkeypatch.setattr(GroupFamily, "tests", row_scan)
-    m, mu = iid_model(12, 0.3), MultiplicityFunction(12, {3: 2, 2: 3})
-    mc_trial_totals(m, blocks(12, 4), 300, 91)
-    rows = ["NNNNNNNNNNNN", "PPPPPPPPPPPP", "NNPNNNNNPNNN", "PPNPPPPPPNPP"]
-    batches = [np.array([c == "P" for c in r], dtype=np.uint8) for r in rows]
-    for randomize in (False, True):
-        empirical_trial_totals(batches, mu, randomize, 300, 91)
-    path = tmp_path / "b.csv"
-    path.write_text("batch_index,statuses\n" + "".join(f"{i},{r}\n" for i, r in enumerate(rows)))
-    argv = ["report", "--batches", str(path), "--trials", "50"]
-    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
 
 
 def variance_from_q(q, f):
