@@ -640,7 +640,7 @@ class TestFloydKernel:
 
     def test_blocks_mixing_flipped_rows(self):
         # interleaved groups, singletons (retest 0) and specimens 90-99,
-        # 140-144 and 146-149 in no group; counts on both sides of n - k,
+        # 140-144 and 146-149 in no group; counts on both sides of n / 2,
         # so every block holds flipped and unflipped rows, over 3 blocks
         import poolpart.simulate as sim
 
