@@ -5,13 +5,13 @@ batch file, build four pooling strategies, and evaluate each analytically
 (under both fitted models) and empirically (replayed against the batches,
 with and without randomized specimen-to-pool assignment).
 
-Strategies, each planned on the model that `_plan_and_score` picks for it:
+Strategies, each planned on what `_plan_and_score` hands it:
 
     team8      fixed size-8 pools
-    dorfman    classical infinite-population pool size at the IID model's
+    dorfman    classical infinite-population pool size at the IID
                prevalence, one smaller remainder pool if it does not divide
-               the batch size
-    iid        cost-optimal partition under the IID model
+               the batch size; it reads that number and builds no model
+    iid        cost-optimal partition under the IID model at that prevalence
     symmetric  cost-optimal partition under the exchangeable model
 
 Option values resolve as flags > POOLPART_* environment variables >
@@ -90,11 +90,11 @@ def strategy_multiplicity(
     max_pool: Optional[int] = None,
 ) -> MultiplicityFunction:
     """Pooling multiplicity of cv.n specimens for one strategy: dorfman reads
-    the IID prevalence p_iid, iid and symmetric solve on cv, the cost vector
-    of the model `_plan_and_score` picks for them.  max_pool caps every
-    pool size (fixed sizes are clamped, the optimizers read cv up to the
-    cap).  dorfman handles the degenerate fits the infinite-population
-    formula excludes: one big pool at p = 0, individual testing at p = 1."""
+    the IID prevalence p_iid and only cv's n, iid and symmetric solve on cv,
+    the cost vector `_plan_and_score` hands them.  max_pool caps every pool
+    size (fixed sizes are clamped, the optimizers read cv up to the cap).
+    dorfman handles the degenerate fits the infinite-population formula
+    excludes: one big pool at p = 0, individual testing at p = 1."""
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     n = cap = cv.n
@@ -113,18 +113,19 @@ def strategy_multiplicity(
     return dp_solve(CostVector(n, cv.c[: cap + 1]), n)[0]
 
 
-def _plan_and_score(strategy, m_iid, cv_iid, cv, max_pool, scored_under):
+def _plan_and_score(strategy, p_iid, cv_iid, cv, max_pool, scored_under):
     """Plan cv.n specimens for one strategy and score the plan: the one rule
-    for which model each strategy plans on.  iid solves on cv_iid, the cost
-    vector of the IID model m_iid (built from it when None), dorfman reads
-    m_iid's prevalence, and team8 and symmetric plan on cv, the given model's.
-    Returns the multiplicity, its pools, the {strategy, multiplicity} entry
-    both commands write, and the pools' expected tests and efficiency under
-    each cost vector of the dict scored_under, by its key."""
+    for what each strategy plans on.  dorfman reads the IID prevalence p_iid,
+    iid solves on cv_iid, the cost vector of the IID model at p_iid (built
+    here, and only for iid, when None), and team8 and symmetric plan on cv,
+    the given model's.  Returns the multiplicity, its pools, the {strategy,
+    multiplicity} entry both commands write, and the pools' expected tests
+    and efficiency under each cost vector of the dict scored_under, by its
+    key."""
     if strategy == "iid" and cv_iid is None:
-        cv_iid = cost_vector(q_from_alpha(m_iid))
+        cv_iid = cost_vector(q_from_alpha(iid_model(cv.n, p_iid)))
     plan_cv = cv_iid if strategy == "iid" else cv
-    mu = strategy_multiplicity(strategy, prevalence(m_iid), plan_cv, max_pool)
+    mu = strategy_multiplicity(strategy, p_iid, plan_cv, max_pool)
     pools = pooling_from_multiplicity(mu, range(cv.n))
     scores = {}
     for name, scoring in scored_under.items():
@@ -172,6 +173,7 @@ def run_experiment(
         m_sym = fit_symmetric(batches, laplace=laplace)
         q_sym, q_iid = q_from_alpha(m_sym), q_from_alpha(m_iid)
         cv_sym, cv_iid = cost_vector(q_sym), cost_vector(q_iid)
+    p_iid = prevalence(m_iid)
     reports = []
     # every strategy replays on the same seed, so equal designs give equal
     # summaries: replay each distinct multiplicity once
@@ -179,7 +181,7 @@ def run_experiment(
     for name in STRATEGIES:
         with _stage(f"optimize[{name}]"):
             mu, _, entry, theoretical = _plan_and_score(
-                name, m_iid, cv_iid, cv_sym, max_pool, {"symmetric": cv_sym, "iid": cv_iid}
+                name, p_iid, cv_iid, cv_sym, max_pool, {"symmetric": cv_sym, "iid": cv_iid}
             )
         if mu.counts not in replays:
             with _stage(f"simulate[{name}]"):
@@ -358,23 +360,18 @@ def _cmd_fit(args) -> int:
 
 def _cmd_optimize(args) -> int:
     if args.model is not None:
-        if args.prevalence is not None:
-            raise ValidationError("give either --model or --prevalence, not both")
+        if args.prevalence is not None or args.n is not None:
+            raise ValidationError("give either --model or --n with --prevalence, not both")
         m = _load_model(args.model)
-        if args.n is not None and args.n != m.n:
-            raise ValidationError(f"--n {args.n} does not match model size {m.n}")
     else:
         if args.prevalence is None or args.n is None:
             raise ValidationError("without --model, both --n and --prevalence are required")
         m = iid_model(args.n, args.prevalence)
-    # with --prevalence m is its own IID model; a model file's is built only
-    # for iid, which plans under it, and dorfman, which reads its prevalence
-    m_iid = m
-    if args.model is not None and args.strategy in ("iid", "dorfman"):
-        m_iid = iid_model(m.n, prevalence(m))
     cv = cost_vector(q_from_alpha(m))
+    # with --prevalence m is its own IID model, so cv is its IID curve
+    cv_iid = cv if args.model is None else None
     mu, pools, entry, scores = _plan_and_score(
-        args.strategy, m_iid, cv if m_iid is m else None, cv, args.max_pool_size, {"model": cv}
+        args.strategy, prevalence(m), cv_iid, cv, args.max_pool_size, {"model": cv}
     )
     entry.update(n=m.n, pools=[list(g) for g in pools.groups], **scores["model"])
     _write_json(entry, args.out)

@@ -103,8 +103,8 @@ class GroupFamily:
         layout = {
             "members": np.fromiter((i for g in gs for i in g), dtype=np.intp, count=len(seen)),
             "starts": np.cumsum(sizes) - sizes,
-            # int32, so a 0/1 matrix times it casts to 4 bytes a cell, not 8:
-            # a row's total is at most groups + covered, far below 2**31
+            # _tally casts it to float for its BLAS product; int32 holds any
+            # row's total, at most groups + covered, far below 2**31
             "retest": (sizes * (sizes >= 2)).astype(np.int32),
         }
         object.__setattr__(self, "groups", gs)

@@ -212,13 +212,13 @@ class TestOptimizeCommand:
         assert sum(int(i) * m for i, m in doc["multiplicity"].items()) == 1000
 
     @pytest.mark.parametrize(
-        "strategy, want", [("team8", 0), ("dorfman", 1), ("iid", 1), ("symmetric", 0)]
+        "strategy, want", [("team8", 0), ("dorfman", 0), ("iid", 1), ("symmetric", 0)]
     )
     def test_model_builds_iid_model_only_when_read(
         self, capsys, batches_file, tmp_path, monkeypatch, strategy, want
     ):
-        # iid plans under the IID model of the file's model, dorfman reads its
-        # prevalence; team8 and symmetric read neither
+        # iid plans under the IID model of the file's model; dorfman reads the
+        # file model's prevalence, and team8 and symmetric read neither
         from poolpart import cli
 
         calls = []
@@ -266,13 +266,21 @@ class TestOptimizeCommand:
             for key in ("expected_tests", "efficiency"):
                 assert doc[key] == entry["theoretical"]["symmetric"][key]
 
-    def test_model_and_prevalence_conflict(self, capsys, tmp_path):
-        model_path = tmp_path / "m.json"
-        model_path.write_text(json.dumps(iid_model(4, 0.2).to_dict()))
-        code, _ = run(
-            capsys, "optimize", "--model", str(model_path), "--prevalence", "0.3"
-        )
-        assert code == 2
+    @pytest.mark.parametrize(
+        "cap, want", [([], {"8": 1}), (["--max-pool-size", "3"], {"3": 2, "2": 1})]
+    )
+    def test_dorfman_at_prevalence_zero_pools_up_to_the_cap(self, capsys, cap, want):
+        # the infinite-population formula excludes p = 0: one pool as large
+        # as the cap allows, and a remainder pool
+        argv = ["--n", "8", "--prevalence", "0", "--strategy", "dorfman", *cap]
+        code, out = run(capsys, "optimize", *argv)
+        assert code == 0
+        assert json.loads(out)["multiplicity"] == want
+
+    def test_unknown_strategy(self):
+        m = iid_model(8, 0.1)
+        with pytest.raises(ValidationError, match="unknown strategy 'bogus'"):
+            strategy_multiplicity("bogus", prevalence(m), cost_vector(q_from_alpha(m)))
 
 
 class TestSimulateCommand:
@@ -518,6 +526,13 @@ class TestReportChecksArgumentsFirst:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: trials must be an integer >= 1, got 0\n"
 
+    def test_missing_batches_is_an_ingest_io_error(self, capsys, tmp_path):
+        argv = ["report", "--batches", str(tmp_path / "missing.csv"), "--trials", "10"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ingest: ") and "missing.csv" in err
+        assert err.count("\n") == 1
+
 
 def hand_experiment(m_iid, m_sym):
     """An Experiment with no strategy reports, holding each model's curve."""
@@ -633,6 +648,7 @@ class TestMalformedInputs:
     REPORT_SEED = ["report", "--batches", "{path}", "--seed"]
     REPLAY_SEED = ["simulate", "--batches", "{path}", "--multiplicity", "{dir}/mu.json", "--seed"]
     REPLAY = ["simulate", "--batches", "{path}", "--multiplicity", "{dir}/mu.json"]
+    ONE_INPUT = "give either --model or --n with --prevalence, not both"
 
     @pytest.mark.parametrize(
         "argv, content, needle",
@@ -682,6 +698,11 @@ class TestMalformedInputs:
              "batches have size 4, not --batch-size 5"),
             (["report", "--batches", "{path}", "--batch-size", "4_0"], BATCHES_4,
              "bad --batch-size value"),
+            # a model file is the one input; --n, even the model's own, restates it
+            (OPTIMIZE + ["--prevalence", "0.3"], MODEL_4, ONE_INPUT),
+            (OPTIMIZE + ["--n", "4"], MODEL_4, ONE_INPUT),
+            (MONTE_CARLO, "[1, 2]", "input: expected a nonempty size->count object"),
+            (MONTE_CARLO, "{}", "input: expected a nonempty size->count object"),
         ],
         ids=[
             "mixed-naive-and-aware-timestamps", "fractional-model-n", "boolean-model-n",
@@ -704,6 +725,7 @@ class TestMalformedInputs:
             "underscore-trials-variable", "repeated-batch-csv-column",
             "repeated-pool-csv-column", "mixed-report-batch-sizes",
             "report-batch-size-not-the-files", "underscore-report-batch-size",
+            "model-with-prevalence", "model-with-n", "list-multiplicity", "empty-multiplicity",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv, content, needle):

@@ -66,6 +66,21 @@ class TestEmpiricalCountsIntegers:
         with pytest.raises(ValidationError, match="histogram entries must be nonnegative"):
             EmpiricalCounts(1, [2, -1], 1)
 
+    def test_histogram_must_sum_to_total(self):
+        with pytest.raises(ValidationError, match="histogram must sum to total_batches"):
+            EmpiricalCounts(2, [1, 1, 0], 3)
+
+
+class TestLogLikelihood:
+    def test_size_mismatch(self):
+        with pytest.raises(ValidationError, match="model size 3 does not match batch size 2"):
+            log_likelihood(iid_model(3, 0.2), [batch([0, 1])])
+
+    def test_observed_count_of_probability_zero(self):
+        # alpha[2] = 0, yet one batch has two positives
+        m = SymmetricModel(2, np.array([0.5, 0.5, 0.0]))
+        assert log_likelihood(m, [batch([0, 1]), batch([1, 1])]) == -math.inf
+
 
 class TestFitSymmetric:
     def test_single_all_negative_batch(self):

@@ -30,7 +30,7 @@ from poolpart import (
     w_from_alpha,
     w_from_q,
 )
-from poolpart.model import _outcome_mass, status_matrix
+from poolpart.model import _outcome_mass, binary_vector, check_real_vector, status_matrix
 
 
 def point_mass(n, k):
@@ -341,6 +341,14 @@ class TestValidationAndTypes:
     def test_q_must_be_nonincreasing(self):
         with pytest.raises(ValidationError):
             QCurve(2, np.array([1.0, 0.4, 0.6]))
+
+    def test_q_entries_lie_in_unit_interval(self):
+        with pytest.raises(ValidationError, match=re.escape("q entries must lie in [0, 1]")):
+            QCurve(2, [1.0, 1.5, 0.5])
+
+    def test_nested_arrays_numpy_cannot_shape(self):
+        with pytest.raises(ValidationError, match="alpha must be an array of numbers"):
+            check_real_vector("alpha", [np.zeros((2, 2)), np.zeros((2, 3))])
 
     def test_weights_must_be_nonnegative(self):
         with pytest.raises(ValidationError):
@@ -992,6 +1000,13 @@ class TestRecursionInvertsHypergeometricQ:
 
 
 class TestStatusMatrix:
+    def test_two_dimensional_statuses(self):
+        grid = np.zeros((2, 2), dtype=np.uint8)
+        with pytest.raises(ValidationError, match="statuses must be a nonempty 1-d vector"):
+            binary_vector(grid)
+        with pytest.raises(ValidationError, match="each batch must be a 1-d status vector"):
+            status_matrix([grid])
+
     def test_stacks_arrays_and_statuses(self):
         data = status_matrix([np.array([0, 1, 1]), OutcomeVector(np.array([1, 0, 0]))], 3)
         assert data.dtype == np.uint8

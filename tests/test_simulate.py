@@ -83,6 +83,11 @@ class TestRunDorfman:
 
 
 class TestMonteCarlo:
+    def test_out_of_range_member(self):
+        # as run_dorfman: a group member outside the population
+        with pytest.raises(IndexError, match="group member 5 outside population of size 3"):
+            mc_trial_totals(iid_model(3, 0.2), GroupFamily(((0, 5),)), 10, 0)
+
     def test_all_negative_point_mass(self):
         m = iid_model(16, 0.0)
         s = monte_carlo(m, blocks(16, 4), 50, 7)
