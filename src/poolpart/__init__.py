@@ -14,7 +14,7 @@ from .cost import (
     expected_tests_group,
     expected_tests_partition,
 )
-from .errors import InfeasibleError, PoolPartError, ValidationError
+from .errors import PoolPartError, ValidationError
 from .estimate import (
     EmpiricalCounts,
     empirical_counts,

@@ -22,7 +22,7 @@ wins even over a malformed variable.  Integers are read with
 `model.parse_uint`, the rule for integers read from files (ASCII digits
 only), and floats with `model.parse_real` (float() less non-ASCII text and
 '_').  Exit codes: 0 success, 2 validation error or out of memory, 3 I/O
-error, 4 infeasible optimization.
+error.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .cost import CostVector, cost_vector, efficiency, expected_tests_partition
-from .errors import InfeasibleError, PoolPartError, ValidationError
+from .errors import ValidationError
 from .estimate import fit_iid, fit_symmetric
 from .ingest import filter_pools, impute_batches, parse_pools, read_batches, write_batches
 from .model import QCurve, SymmetricModel, check_int, check_n, check_uint64, parse_real
@@ -69,8 +69,6 @@ def _stage(label: str):
         yield
     except ValidationError as e:
         raise ValidationError(f"{label}: {e}") from e
-    except InfeasibleError as e:
-        raise InfeasibleError(f"{label}: {e}") from e
     except OSError as e:
         raise OSError(f"{label}: {e}") from e
 
@@ -92,9 +90,7 @@ def strategy_multiplicity(
     """Pooling multiplicity of cv.n specimens for one strategy: dorfman reads
     the IID prevalence p_iid and only cv's n, iid and symmetric solve on cv,
     the cost vector `_plan_and_score` hands them.  max_pool caps every pool
-    size (fixed sizes are clamped, the optimizers read cv up to the cap).
-    dorfman handles the degenerate fits the infinite-population formula
-    excludes: one big pool at p = 0, individual testing at p = 1."""
+    size (fixed sizes are clamped, the optimizers read cv up to the cap)."""
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     n = cap = cv.n
@@ -103,13 +99,7 @@ def strategy_multiplicity(
     if strategy == "team8":
         return _blocks(n, min(8, cap))
     if strategy == "dorfman":
-        if p_iid <= 0.0:
-            s = cap
-        elif p_iid >= 1.0:
-            s = 1
-        else:
-            s = min(dorfman_infinite_size(p_iid, s_max=max(cap, 2)), cap)
-        return _blocks(n, s)
+        return _blocks(n, dorfman_infinite_size(p_iid, s_max=cap))
     return dp_solve(CostVector(n, cv.c[: cap + 1]), n)[0]
 
 
@@ -497,9 +487,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return 3
-    except InfeasibleError as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

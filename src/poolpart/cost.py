@@ -140,7 +140,15 @@ def cost_vector(qc: QCurve, max_size: Optional[int] = None) -> CostVector:
     return CostVector(qc.n, c)
 
 
+def _check_members(f: GroupFamily, n: int) -> None:
+    """Every member of f must name one of the population's n specimens."""
+    top = int(f.members.max())
+    if top >= n:
+        raise IndexError(f"group member {top} outside population of size {n}")
+
+
 def expected_tests_partition(cv: CostVector, f: GroupFamily) -> float:
+    _check_members(f, cv.n)
     sizes = np.diff(f.starts, append=f.covered)
     big = sizes[sizes > cv.max_size]
     if big.size:

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
-I/O failures are left to the builtin OSError hierarchy; these classes cover
-domain validation and optimizer infeasibility so the CLI can map each family
-to a distinct exit code.
+I/O failures are left to the builtin OSError hierarchy (CLI exit code 3);
+these classes cover domain validation (exit code 2).
 """
 
 
@@ -12,7 +11,3 @@ class PoolPartError(Exception):
 
 class ValidationError(PoolPartError, ValueError):
     """Input violates a documented precondition or invariant."""
-
-
-class InfeasibleError(PoolPartError):
-    """The optimization problem has no feasible solution."""

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .cost import CostVector, GroupFamily
-from .errors import InfeasibleError, ValidationError
+from .errors import ValidationError
 from .model import check_int, check_int_vector, check_n, check_real, check_real_vector
 
 __all__ = [
@@ -157,15 +157,12 @@ def brute_force_solve(cv: CostVector, target: int) -> MultiplicityFunction:
         raise ValidationError(
             f"exhaustive enumeration is limited to target <= {_BRUTE_FORCE_LIMIT}, got {target}"
         )
-    best_parts = None
-    best_v = math.inf
-    for parts in _partitions(target, min(target, cv.max_size)):
-        v = math.fsum(float(cv.c[i]) for i in parts)
-        if v < best_v:
-            best_v = v
-            best_parts = parts
-    if best_parts is None:
-        raise InfeasibleError(f"no partition of {target} fits within max size {cv.max_size}")
+    # min keeps the first of equal totals; every c entry is finite, so the
+    # all-ones partition always competes
+    best_parts = min(
+        _partitions(target, min(target, cv.max_size)),
+        key=lambda parts: math.fsum(float(cv.c[i]) for i in parts),
+    )
     counts: Dict[int, int] = {}
     for i in best_parts:
         counts[i] = counts.get(i, 0) + 1
@@ -195,14 +192,16 @@ def pooling_from_multiplicity(
 def dorfman_infinite_size(prevalence: float, s_max: int = 100) -> int:
     """Classical optimal pool size for an unbounded IID population.
 
-    Minimizes the per-specimen cost 1/s + 1 - (1-p)^s over s in 2..s_max;
-    returns 1 when no pooled size beats individual testing.  Ties go to the
-    smallest size.
+    Minimizes the per-specimen cost 1/s + 1 - (1-p)^s over s in 2..s_max
+    for p in [0, 1] and s_max >= 1; returns 1 when no pooled size beats
+    individual testing, as at p = 1 or s_max = 1.  Ties go to the smallest
+    size.  At p = 0 the cost is 1/s, which falls in floats at each s up to
+    67 114 656, so the answer is s_max for any s_max up to there.
     """
     p = check_real("prevalence", prevalence)
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"prevalence must lie strictly in (0, 1), got {p!r}")
-    s_max = check_int("s_max", s_max, 2)
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"prevalence must lie in [0, 1], got {p!r}")
+    s_max = check_int("s_max", s_max)
     best_s, best_v = 1, 1.0
     for s in range(2, s_max + 1):
         v = 1.0 / s + 1.0 - (1.0 - p) ** s

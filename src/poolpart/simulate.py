@@ -60,7 +60,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .cost import GroupFamily
+from .cost import GroupFamily, _check_members
 from .errors import ValidationError
 from .model import OutcomeVector, SymmetricModel, check_int, check_n, check_uint64
 from .model import check_real, status_matrix, substream
@@ -244,9 +244,7 @@ def mc_trial_totals(
     from substream (seed, 0, 0), picks from (seed, 1, 0), as the module
     docstring lays out."""
     trials = check_n(trials, "trials")
-    top = int(f.members.max())
-    if top >= m.n:
-        raise IndexError(f"group member {top} outside population of size {m.n}")
+    _check_members(f, m.n)
     cdf = np.cumsum(m.alpha)
     cdf /= cdf[-1]
     counts = cdf.searchsorted(substream(seed, 0, 0).random(trials), side="right")

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from poolpart import (
+    CostVector,
     Experiment,
-    InfeasibleError,
     MultiplicityFunction,
     SymmetricModel,
     ValidationError,
     cost_vector,
+    dorfman_infinite_size,
     iid_model,
     emit_model_analysis,
     empirical_evaluate,
@@ -66,14 +67,6 @@ class TestExitCodes:
     def test_io_error_is_3(self, capsys):
         code, _ = run(capsys, "fit", "--input", "/nonexistent/batches.csv")
         assert code == 3
-
-    def test_infeasible_is_4(self, capsys, monkeypatch):
-        def boom(args):
-            raise InfeasibleError("forced")
-
-        monkeypatch.setattr("poolpart.cli._cmd_optimize", boom)
-        code, _ = run(capsys, "optimize", "--n", "4", "--prevalence", "0.1")
-        assert code == 4
 
     def test_memory_error_is_2_with_one_line(self, capsys, monkeypatch):
         def boom(args):
@@ -270,12 +263,33 @@ class TestOptimizeCommand:
         "cap, want", [([], {"8": 1}), (["--max-pool-size", "3"], {"3": 2, "2": 1})]
     )
     def test_dorfman_at_prevalence_zero_pools_up_to_the_cap(self, capsys, cap, want):
-        # the infinite-population formula excludes p = 0: one pool as large
-        # as the cap allows, and a remainder pool
+        # at p = 0 every larger pool costs less: one pool as large as the cap
+        # allows, and a remainder pool
         argv = ["--n", "8", "--prevalence", "0", "--strategy", "dorfman", *cap]
         code, out = run(capsys, "optimize", *argv)
         assert code == 0
         assert json.loads(out)["multiplicity"] == want
+
+    def test_dorfman_matches_the_three_branch_rule(self):
+        # dorfman_infinite_size answers p = 0, p = 1 and a cap of 1 itself;
+        # the rule strategy_multiplicity kept for them is the reference
+        def reference(p, cap):
+            if p <= 0.0:
+                return cap
+            if p >= 1.0:
+                return 1
+            return min(dorfman_infinite_size(p, s_max=max(cap, 2)), cap)
+
+        rng = np.random.default_rng(30)
+        ps = [0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 0.01624, 0.5]
+        ps += rng.random(60).tolist() + (10.0 ** rng.uniform(-12, 0, 60)).tolist()
+        n = 5000
+        cv = CostVector(n, np.array([np.nan, 1.0]))
+        for cap in (1, 2, 3, 4, 8, 9, 37, 100, 101, 999, n):
+            for p in ps:
+                s = reference(p, cap)
+                want = {s: n // s, **({n % s: 1} if n % s else {})}
+                assert strategy_multiplicity("dorfman", p, cv, cap).as_dict() == want, (p, cap)
 
     def test_unknown_strategy(self):
         m = iid_model(8, 0.1)

@@ -234,11 +234,18 @@ class TestDorfmanInfiniteSize:
         assert dorfman_infinite_size(0.01624, s_max=np.int64(50)) == 8
 
     def test_domain_errors(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
+        for bad in (-0.2, 1.5, math.nan):
             with pytest.raises(ValidationError):
                 dorfman_infinite_size(bad)
         with pytest.raises(ValidationError):
-            dorfman_infinite_size(0.1, s_max=1)
+            dorfman_infinite_size(0.1, s_max=0)
+
+    def test_boundaries(self):
+        # p = 0 costs 1/s, falling all the way to the cap; p = 1 costs at
+        # least 1 + 1/s; a cap of 1 leaves only individual testing
+        assert dorfman_infinite_size(0.0, s_max=37) == 37
+        assert dorfman_infinite_size(1.0, s_max=37) == 1
+        assert dorfman_infinite_size(0.01624, s_max=1) == 1
 
 
 class TestValueTable:

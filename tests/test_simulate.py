@@ -88,6 +88,16 @@ class TestMonteCarlo:
         with pytest.raises(IndexError, match="group member 5 outside population of size 3"):
             mc_trial_totals(iid_model(3, 0.2), GroupFamily(((0, 5),)), 10, 0)
 
+    def test_analytic_score_checks_members_as_sampling_does(self):
+        # 7 specimens named up to 31 do not fit a population of 4
+        m = iid_model(4, 0.1)
+        f = GroupFamily(((0, 1), (7, 9), (20,), (30, 31)))
+        msg = "^group member 31 outside population of size 4$"
+        with pytest.raises(IndexError, match=msg):
+            expected_tests_partition(cost_vector(q_from_alpha(m)), f)
+        with pytest.raises(IndexError, match=msg):
+            monte_carlo(m, f, 10, 0)
+
     def test_all_negative_point_mass(self):
         m = iid_model(16, 0.0)
         s = monte_carlo(m, blocks(16, 4), 50, 7)
